@@ -7,13 +7,20 @@ simultaneous primality of a + q*h_i possible).
 """
 
 from dataclasses import dataclass
+from itertools import islice
 from math import ceil, exp, gcd, log
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import NonCoprimeResidue, CapExceeded, KTooLarge, UsageError
-from .primes import is_prime, iter_prime_segments, _base_primes
+from .primes import (  # noqa: F401  (is_prime stays importable from here)
+    is_prime,
+    iter_prime_segments,
+    primes_in_ap,
+    walk_ap,
+    _base_primes,
+)
 
 # Default search cap multiplier: cap = CAP_FACTOR * m * q.  Comfortably above
 # the proven m=2 budget constant (270) and the phi(q) log q scale at desk size.
@@ -114,14 +121,9 @@ def pm(q: int, a: int, m: int, cap: Optional[int] = None) -> PrimeClusterResult:
         cap = default_cap(q, m)
     if cap < q:
         raise UsageError(f"cap {cap} below modulus {q}")
-    found = []
-    n = a if a >= 2 else a + q
-    while n <= cap:
-        if is_prime(n):
-            found.append(n)
-            if len(found) == m:
-                return PrimeClusterResult(prog, m, tuple(found))
-        n += q
+    found = tuple(islice(walk_ap(q, a, cap), m))
+    if len(found) == m:
+        return PrimeClusterResult(prog, m, found)
     raise CapExceeded(
         f"only {len(found)} primes = {a} (mod {q}) up to {cap}, wanted {m}",
         cap=cap,
@@ -137,6 +139,16 @@ def min_pm(
     Scans primes in increasing order and stops at the first residue class
     that accumulates m of them; that class attains the minimum (the final
     prime belongs to exactly one class, so there are no ties).
+
+    The scan runs per sieve window, in numpy.  Primes dividing q are dropped
+    (for a prime p, p | q is the same as gcd(p mod q, q) != 1).  The
+    residues r = p mod q are stably sorted, which ranks each prime within
+    its class in prime order; adding the counts carried over from earlier
+    windows (one dense array of length q) gives each prime's running count
+    in its class.  The first prime, in prime order, whose running count
+    reaches m is p_m and its class is a*; the class's m primes are then
+    recovered with primes_in_ap.  A window without such a prime adds its
+    per-class counts and the scan moves on.
     """
     if q < 2:
         raise UsageError(f"modulus must be >= 2, got {q}")
@@ -144,17 +156,28 @@ def min_pm(
         raise UsageError(f"m must be >= 1, got {m}")
     if cap is None:
         cap = default_cap(q, m)
-    per_class: dict[int, list[int]] = {}
+    counts = np.zeros(q, dtype=np.int32)  # primes so far per class, all < m
     for seg in iter_prime_segments(2, cap + 1):
-        for p in seg.primes():
-            p = int(p)
-            r = p % q
-            if gcd(r, q) != 1:
-                continue
-            lst = per_class.setdefault(r, [])
-            lst.append(p)
-            if len(lst) == m:
-                return r, PrimeClusterResult(Progression(q, r), m, tuple(lst))
+        ps = seg.primes()
+        ps = ps[q % ps != 0]
+        r = ps % q
+        order = np.argsort(r, kind="stable")
+        rs = r[order]
+        first = np.ones(len(rs), dtype=bool)
+        first[1:] = rs[1:] != rs[:-1]
+        starts = np.flatnonzero(first)  # each class's run in rs
+        sizes = np.diff(starts, append=len(rs))
+        classes = rs[starts]
+        if np.any(counts[classes] + sizes >= m):
+            rank = np.arange(len(rs)) - np.repeat(starts, sizes) + 1
+            j = int(order[counts[rs] + rank >= m].min())
+            a_star, p_m = int(r[j]), int(ps[j])
+            primes = primes_in_ap(q, a_star, p_m)
+            assert len(primes) == m, f"internal: class {a_star} holds {primes}"
+            return a_star, PrimeClusterResult(
+                Progression(q, a_star), m, tuple(primes)
+            )
+        counts[classes] += sizes
     raise CapExceeded(
         f"no residue class mod {q} collected {m} primes up to {cap}",
         cap=cap,

@@ -9,13 +9,13 @@ certified rational intervals (decimal / truncated inputs).
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, gcd, isqrt, log
+from math import ceil, gcd, log
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import PrecisionExhausted, CapExceeded, UsageError
-from .exactreal import QuadExt, RatInterval, sqrt_interval
+from .exactreal import QuadExt, RatInterval, _floor_surd, sqrt_interval
 
 Number = Union[int, float, Fraction]
 
@@ -191,15 +191,6 @@ def _expand_rational(x: Fraction) -> list[int]:
         out.append(a)
         p, q = q, r
     return out
-
-
-def _floor_surd(P: int, D: int, Q: int) -> int:
-    """floor((P + sqrt(D)) / Q) exactly, D not a perfect square."""
-    s = isqrt(D)
-    if Q > 0:
-        return (P + s) // Q
-    # (P + sqrt(D))/Q = -(P + sqrt(D))/|Q|; the value is never an integer
-    return -((P + s) // (-Q)) - 1
 
 
 def _expand_quadratic(x: QuadExt, depth: int) -> tuple[list[int], Optional[int]]:

@@ -586,13 +586,12 @@ def _rotation_prime_visits(system, x0, x, eps: Fraction, m: int, cap: int):
 
     found = []
     for seg in iter_prime_segments(2, cap + 1):
-        ps = seg.primes().astype(np.float64)
-        pos = np.mod(x0f + ps * af, 1.0)
+        ps = seg.primes()
+        pos = np.mod(x0f + ps.astype(np.float64) * af, 1.0)
         d = np.abs(pos - xf)
         d = np.minimum(d, 1.0 - d)
         margin = float(seg.hi) * 2.0 ** -50 + 1e-12
-        for idx in np.flatnonzero(d < eps_f + margin):
-            p = int(seg.primes()[idx])
+        for p in map(int, ps[d < eps_f + margin]):
             diff = (x0q + a_exact * p - xq).dist_to_nearest_int()
             if diff < eps:
                 found.append(p)

@@ -7,7 +7,7 @@ integer computations.  Decimal inputs are handled as rational intervals.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isfinite, isqrt, lcm
 
 from .errors import UsageError, PrecisionExhausted
 
@@ -23,6 +23,15 @@ def squarefree_split(d: int) -> tuple[int, int]:
             s *= p
         p += 1
     return s, d0
+
+
+def _floor_surd(P: int, D: int, Q: int) -> int:
+    """floor((P + sqrt(D)) / Q) exactly, D not a perfect square."""
+    s = isqrt(D)
+    if Q > 0:
+        return (P + s) // Q
+    # (P + sqrt(D))/Q = -(P + sqrt(D))/|Q|; the value is never an integer
+    return -((P + s) // (-Q)) - 1
 
 
 class QuadExt:
@@ -156,10 +165,41 @@ class QuadExt:
     # --- floor / fractional part ----------------------------------------
 
     def __float__(self) -> float:
-        if self.b == 0:
-            return float(self.a)
-        # correct to a few ulps; exact code paths never rely on this
-        return float(self.a) + float(self.b) * self.d**0.5
+        """The nearest float, to within about 2^-52 relative."""
+        a, b, d = self.a, self.b, self.d
+        if b == 0:
+            return float(a)
+        try:
+            fa, fb = float(a), float(b) * d**0.5
+        except OverflowError:
+            return self._float_scaled()
+        # The sum is off by a few ulps of max(|fa|, |fb|): harmless unless
+        # the terms have opposite signs and nearly cancel (or fb overflowed).
+        x = fa + fb
+        if isfinite(x) and (
+            (a < 0) == (b < 0) or 64 * abs(x) >= max(abs(fa), abs(fb))
+        ):
+            return x
+        return self._float_scaled()
+
+    def _float_scaled(self) -> float:
+        """float(x) from the exact floor of 2^k x, with k chosen so that the
+        floor has at least 64 bits: x = (A + B*sqrt(d))/C, and
+        |x| = |A^2 - B^2 d| / (C |A - B*sqrt(d)|) bounds log2 |x| from below
+        without cancellation."""
+        den = lcm(self.a.denominator, self.b.denominator)
+        A = self.a.numerator * (den // self.a.denominator)
+        B = self.b.numerator * (den // self.b.denominator)
+        D = B * B * self.d
+        k = max(
+            0,
+            68
+            + den.bit_length()
+            + max(abs(A), isqrt(D)).bit_length()
+            - abs(A * A - D).bit_length(),
+        )
+        P, Q = (A << k, den) if B > 0 else (-(A << k), -den)
+        return _floor_surd(P, D << (2 * k), Q) / (1 << k)
 
     def floor(self) -> int:
         if self.b == 0:

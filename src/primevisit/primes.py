@@ -15,6 +15,9 @@ from .errors import RangeTooLarge, UsageError, FactorizationFailure
 # Default number of flags per sieve segment (cache friendly, no tuning knob).
 SEGMENT_CAP = 1 << 22
 
+# Flags in the first window of iter_prime_segments; later windows double.
+FIRST_WINDOW = 1 << 16
+
 _MAX_N = 1 << 63
 
 # Witness set deterministic for all n < 2^64.
@@ -76,12 +79,22 @@ def sieve_range(lo: int, hi: int, segment_cap: int = SEGMENT_CAP) -> PrimeRange:
 
 
 def iter_prime_segments(lo: int, hi: int, segment_cap: int = SEGMENT_CAP):
-    """Yield PrimeRange segments covering [lo, hi) in order."""
+    """Yield PrimeRange segments tiling [lo, hi) contiguously, in order.
+
+    Windows start small and double: the first has min(FIRST_WINDOW,
+    segment_cap) flags, each later one twice the previous, up to segment_cap.
+    A consumer that stops early (the m-th prime of a class, the first prime
+    visits of an orbit) then sieves about twice what it reads, not a whole
+    segment_cap; a consumer of the full range pays only for a few extra
+    small windows.
+    """
     lo = max(lo, 2)
+    width = min(FIRST_WINDOW, segment_cap)
     while lo < hi:
-        top = min(lo + segment_cap, hi)
+        top = min(lo + width, hi)
         yield sieve_range(lo, top, segment_cap)
         lo = top
+        width = min(2 * width, segment_cap)
 
 
 def is_prime(n: int) -> bool:
@@ -115,6 +128,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def walk_ap(q: int, a: int, limit: int):
+    """Yield the primes p <= limit with p = a (mod q), in increasing order,
+    by testing a, a + q, a + 2q, ... (from a + q when a < 2)."""
+    n = a if a >= 2 else a + q
+    while n <= limit:
+        if is_prime(n):
+            yield n
+        n += q
+
+
 # Below this many progression steps, walking and testing beats sieving.
 _WALK_STEPS = 4096
 
@@ -137,15 +160,8 @@ def primes_in_ap(q: int, a: int, limit: int) -> list[int]:
         # Only candidate is p = g itself (prime and = a mod q means g | p).
         return [g] if is_prime(g) and g % q == a and g <= limit else []
 
-    steps = limit // q + 1
-    if steps <= _WALK_STEPS:
-        out = []
-        n = a if a >= 2 else a + q
-        while n <= limit:
-            if is_prime(n):
-                out.append(n)
-            n += q
-        return out
+    if limit // q + 1 <= _WALK_STEPS:
+        return list(walk_ap(q, a, limit))
 
     out = []
     for seg in iter_prime_segments(2, limit + 1):

@@ -133,3 +133,28 @@ def test_console_script_installed():
         capture_output=True, text=True,
     )
     assert out.returncode == 0
+
+
+def test_prop71_deep_convergents_of_sqrt19(capsys):
+    # q_40 ~ 2e16: the type estimate takes float() of exact distances whose
+    # terms nearly cancel
+    code, out, err = run_cli(
+        capsys, "prop71", "--alpha", "sqrt:19:-4:1", "--eps-grid",
+        "587e-5,603e-6,388e-8,155e-8,124e-10", "--depth", "40",
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert all(r["lower_ok"] and r["upper_ok"] for r in doc["rows"])
+
+
+def test_return_time_achieved_is_not_cancelled(capsys):
+    import mpmath
+
+    code, out, _ = run_cli(capsys, "return-time", "--alpha", "golden", "--eps", "1e-10")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["tau"] == 4807526976
+    with mpmath.workdps(60):
+        x = doc["tau"] * (mpmath.sqrt(5) - 1) / 2
+        want = float(abs(x - mpmath.nint(x)))
+    assert abs(doc["achieved"] - want) <= 1e-9 * want

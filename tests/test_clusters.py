@@ -3,17 +3,21 @@ from math import gcd, log
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from primevisit.errors import CapExceeded, KTooLarge, NonCoprimeResidue
 from primevisit.clusters import (
+    Progression,
     cluster_census,
+    default_cap,
     is_admissible,
     min_pm,
     narrowest_tuple,
     pm,
     theorem11_report,
 )
-from primevisit.primes import is_prime
+from primevisit.primes import is_prime, iter_prime_segments
 
 
 def test_pm_examples():
@@ -24,8 +28,15 @@ def test_pm_examples():
 
 
 def test_pm_cap_exceeded():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as info:
         pm(10**4 + 1, 1, 50, cap=10**4 + 2)
+    assert str(info.value) == "only 0 primes = 1 (mod 10001) up to 10002, wanted 50"
+    assert info.value.cap == 10**4 + 2
+    assert info.value.context == {"q": 10**4 + 1, "a": 1, "m": 50, "found": 0}
+    with pytest.raises(CapExceeded) as info:
+        pm(4, 1, 3, cap=16)
+    assert str(info.value) == "only 2 primes = 1 (mod 4) up to 16, wanted 3"
+    assert info.value.context == {"q": 4, "a": 1, "m": 3, "found": 2}
 
 
 def test_pm_monotone_in_m():
@@ -148,3 +159,42 @@ def test_theorem11_rows():
     # m=3 with an explicit budget of shape C*m*exp(4m)
     rows = theorem11_report([10007], m=3, h_budget=1e-3 * 3 * np.exp(12))
     assert rows[0].p_m == min_pm(10007, 3)[1].p_m
+
+
+def oracle_min_pm(q, m):
+    """The per-prime scan: one list per reduced class, stop at the first
+    class to hold m primes."""
+    cap = default_cap(q, m)
+    per_class = {}
+    for seg in iter_prime_segments(2, cap + 1):
+        for p in seg.primes():
+            p = int(p)
+            r = p % q
+            if gcd(r, q) != 1:
+                continue
+            lst = per_class.setdefault(r, [])
+            lst.append(p)
+            if len(lst) == m:
+                return r, tuple(lst)
+    raise CapExceeded("oracle ran out of cap", cap=cap)
+
+
+@settings(deadline=None, max_examples=60)
+@given(q=st.integers(2, 5000), m=st.integers(1, 4))
+@example(q=2, m=1)
+@example(q=2, m=4)
+@example(q=30030, m=1)
+@example(q=30030, m=4)
+def test_min_pm_matches_per_prime_scan(q, m):
+    a_star, res = min_pm(q, m)
+    assert (a_star, res.primes) == oracle_min_pm(q, m)
+    assert res.progression == Progression(q, a_star) and res.m == m
+
+
+@pytest.mark.parametrize("q, m", [(10583, 2), (30, 3), (2, 1), (30030, 2)])
+def test_min_pm_cap_boundary(q, m):
+    p_m = min_pm(q, m)[1].p_m
+    assert min_pm(q, m, cap=p_m)[1].p_m == p_m
+    with pytest.raises(CapExceeded) as info:
+        min_pm(q, m, cap=p_m - 1)
+    assert info.value.cap == p_m - 1 and info.value.context == {"q": q, "m": m}

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from primevisit.errors import PrecisionExhausted
 from primevisit.exactreal import QuadExt, RatInterval, sqrt_interval, squarefree_split
@@ -97,3 +100,62 @@ def test_sqrt_interval_encloses():
         iv = sqrt_interval(d)
         assert iv.lo * iv.lo <= d <= iv.hi * iv.hi
         assert float(iv.width) < 1e-30
+
+
+def _mp_value(x: QuadExt):
+    import mpmath
+
+    return mpmath.mpf(x.a.numerator) / x.a.denominator + (
+        mpmath.mpf(x.b.numerator) / x.b.denominator
+    ) * mpmath.sqrt(x.d)
+
+
+def test_float_of_convergent_distances():
+    import mpmath
+
+    g = QuadExt.golden()
+    fib = [1, 1]
+    while fib[-1] < 10**30:
+        fib.append(fib[-1] + fib[-2])
+    with mpmath.workdps(80):
+        for q, p in zip(fib[2:], fib[1:]):  # q * g - p = +-1/(q * phi) roughly
+            x = g * q - p
+            assert float(x) == pytest.approx(float(_mp_value(x)), rel=1e-15)
+
+
+def test_float_of_huge_cancelling_terms():
+    import mpmath
+
+    n = 10**400  # float(a) alone overflows
+    x = QuadExt.sqrt2_minus_1() * n
+    x = x - (x.a + isqrt(2 * n * n))
+    with mpmath.workdps(900):
+        want = float(_mp_value(x))
+    assert 0 < want < 1 and float(x) == pytest.approx(want, rel=1e-15)
+    # b*sqrt(d) alone overflows to inf although the sum is finite
+    y = QuadExt(-10**308, 10**308, 5)
+    with mpmath.workdps(40):
+        assert float(y) == pytest.approx(float(_mp_value(y)), rel=1e-15)
+
+
+@settings(deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 5, 6, 7, 10, 13, 19, 23, 2026]),
+    a=st.fractions(min_value=-10, max_value=10, max_denominator=1000),
+    b=st.fractions(min_value=-10, max_value=10, max_denominator=1000).filter(bool),
+    n=st.integers(1, 10**20),
+    scale=st.fractions(min_value=Fraction(-100), max_value=100,
+                       max_denominator=10**6).filter(bool),
+)
+def test_float_near_cancellation_vs_mpmath(d, a, b, n, scale):
+    """n * alpha - (nearest integer), scaled: the terms a and b*sqrt(d) of
+    the result nearly cancel."""
+    import mpmath
+
+    alpha = QuadExt(a, b, d)
+    assume(not alpha.is_rational)
+    with mpmath.workdps(60):
+        p = int(mpmath.nint(_mp_value(alpha) * n))
+        x = (alpha * n - p) * scale
+        want = _mp_value(x)
+        assert abs(float(x) - want) <= 1e-12 * abs(want)

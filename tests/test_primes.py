@@ -4,6 +4,8 @@ import sympy
 
 from primevisit.errors import RangeTooLarge, UsageError
 from primevisit.primes import (
+    FIRST_WINDOW,
+    SEGMENT_CAP,
     divisor_count,
     factorize,
     is_prime,
@@ -105,3 +107,26 @@ def test_factorize_and_tau():
     assert factorize(2**10 * 3**4) == {2: 10, 3: 4}
     assert divisor_count(2310) == 32
     assert divisor_count(101) == 2
+
+
+@pytest.mark.parametrize(
+    "lo, hi, cap",
+    [
+        (2, 10**6, SEGMENT_CAP),
+        (2, 10**6, 2**14),  # cap below the first window
+        (999_983, 1_500_000, 2**17),
+        (10**9, 10**9 + 300_000, SEGMENT_CAP),
+        (5, 6, SEGMENT_CAP),
+        (0, 2**16 + 3, 2**16),
+    ],
+)
+def test_iter_prime_segments_doubling_tiles(lo, hi, cap):
+    segs = list(iter_prime_segments(lo, hi, cap))
+    assert segs[0].lo == max(lo, 2) and segs[-1].hi == hi
+    width = min(FIRST_WINDOW, cap)
+    for seg, nxt in zip(segs, segs[1:] + [None]):
+        assert seg.hi - seg.lo == (width if nxt is not None else min(width, hi - seg.lo))
+        assert nxt is None or nxt.lo == seg.hi
+        width = min(2 * width, cap)
+    whole = sieve_range(max(lo, 2), hi, hi - max(lo, 2))
+    assert np.array_equal(np.concatenate([s.bits for s in segs]), whole.bits)
