@@ -21,7 +21,6 @@ from fractions import Fraction
 from math import asinh, ceil, cosh, sinh, sqrt
 from typing import Callable, Optional, Union
 
-import mpmath
 import numpy as np
 
 from . import __version__ as _pkg_version
@@ -311,6 +310,8 @@ def _cosh_m1_lt(value: Scalar, eps: Fraction) -> bool:
         return True
     if v > t + band:
         return False
+    import mpmath
+
     with mpmath.workdps(60):
         thresh = mpmath.cosh(mpmath.mpf(eps.numerator) / eps.denominator) - 1
         if isinstance(value, (int, Fraction)):

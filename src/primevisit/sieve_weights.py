@@ -25,7 +25,8 @@ no main-term/error-term estimates are asserted.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, exp, floor, fsum, gcd, log, log10
+from itertools import chain
+from math import ceil, exp, floor, fsum, gcd, isqrt, log, log10
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -357,11 +358,29 @@ _GRID_TOL = 1e-6
 _PSI_POINT_KMAX = 6
 
 
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT handles fast."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _trap_conv(f: np.ndarray, g: np.ndarray, dx: float) -> np.ndarray:
     """Trapezoid discretization of (f*g)(t) = int_0^t f(u) g(t-u) du on the
-    same grid."""
+    same grid.  The linear convolution is an FFT product of length
+    >= 2n - 1, so no wrap-around reaches the first n entries."""
     n = len(f)
-    s = np.convolve(f, g)[:n]
+    m = _fft_size(2 * n - 1)
+    s = np.fft.irfft(np.fft.rfft(f, m) * np.fft.rfft(g, m), m)[:n]
     s = s - 0.5 * (f[0] * g + f * g[0])
     return s * dx
 
@@ -661,6 +680,68 @@ class SSumReport:
         )
 
 
+# Residue positions per numpy chunk of s_sum_bruteforce.
+_SSUM_CHUNK = 1 << 15
+
+
+def _log_cut(cap: float, top: int) -> int:
+    """Largest t <= top with log(t) <= cap + 1e-12, the prime filter of
+    _mu_divisors_bounded.  Below 2^40 consecutive integers differ in log by
+    more than 1e-13, far above the error of math.log, so the filter keeps
+    exactly the primes p <= t."""
+    c = cap + 1e-12
+    if log(top) <= c:
+        return top
+    t = floor(exp(c))
+    while log(t + 1) <= c:
+        t += 1
+    while log(t) > c:
+        t -= 1
+    return t
+
+
+def _factor_keys(
+    n: np.ndarray, trial: Sequence[int], cut: int, p_cut: int, cofactor: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry of n: the product of its distinct prime factors p <= cut,
+    and the number of its distinct prime factors p <= p_cut.
+
+    trial holds the primes up to min(max(cut, p_cut), isqrt(max n)).  When
+    cofactor is set it holds every prime up to isqrt(max n); dividing them
+    out leaves 1 or the one prime factor above isqrt(max n).
+    """
+    key = np.ones_like(n)
+    small = np.zeros(n.shape, dtype=np.int64)
+    rest = n.copy() if cofactor else None
+    for p in trial:
+        hit = n % p == 0
+        if p <= cut:
+            key[hit] *= p
+        if p <= p_cut:
+            small += hit
+        if cofactor:
+            idx = np.flatnonzero(hit)
+            while idx.size:
+                rest[idx] //= p
+                idx = idx[rest[idx] % p == 0]
+    if cofactor:
+        big = rest > 1
+        sel = big & (rest <= cut)
+        key[sel] *= rest[sel]
+        small += big & (rest <= p_cut)
+    return key, small
+
+
+def _key_primes(key: int, trial: Sequence[int]) -> list[int]:
+    """Increasing primes of a key built by _factor_keys."""
+    ps = [p for p in trial if key % p == 0]
+    for p in ps:
+        key //= p
+    if key > 1:
+        ps.append(key)
+    return ps
+
+
 def s_sum_bruteforce(
     q: int,
     m: int,
@@ -669,8 +750,17 @@ def s_sum_bruteforce(
     F: CutoffF,
     work_cap: int = 2_000_000,
 ) -> SSumReport:
-    """Exact evaluation of all three component sums by looping over the
-    reduced residues a = b0 (mod W_q).  Tensor cutoffs only (exact weights)."""
+    """Exact evaluation of all three component sums over the reduced
+    residues a = b0 (mod W_q).  Tensor cutoffs only (exact weights).
+
+    The residues are processed in numpy chunks.  lambda_{f_i}(a + q h_i)
+    depends only on the primes p <= q^{s_i} dividing a + q h_i, so each
+    residue gets the product of those primes as an integer key, found by
+    trial division of the whole chunk, and the divisor sum runs once per
+    distinct key.  Products, squares and small-factor counts are taken
+    elementwise, and every sum is an fsum, so the report does not depend on
+    the order or the chunking of the residues.
+    """
     if F.family != "tensor":
         raise UsageError("s_sum_bruteforce needs the tensor family (exact weights)")
     validate_cutoff(F, params.theta, params.eps_k)
@@ -678,7 +768,9 @@ def s_sum_bruteforce(
     k = len(offsets)
     if k != params.k:
         raise UsageError("offsets length differs from params.k")
-    top = q + q * offsets[-1]
+    if min(offsets) < 0:
+        raise UsageError(f"offsets must be >= 0, got {offsets}")
+    top = q + q * max(offsets)
     n_residues = q // max(params.Wq, 1) + 1
     if n_residues * k > work_cap or top > 2**40:
         raise BudgetExceeded(
@@ -692,41 +784,58 @@ def s_sum_bruteforce(
 
     logq = log(q)
     p_cut = floor(exp(float(Fraction(params.rho)) * logq))
-    start = params.b0 % params.Wq if params.Wq > 1 else 1
-    if start == 0:
-        start = params.Wq
+    step = params.Wq if params.Wq > 1 else 1
+    start = params.b0 % step or step
 
-    w_terms: list[float] = []
-    prime_terms: list[list[float]] = [[] for _ in range(k)]
-    small_terms: list[list[float]] = [[] for _ in range(k)]
+    cuts = [_log_cut(f.support * logq, top) for f in F.fs]
+    reach = max(max(cuts), p_cut)
+    root = isqrt(top)
+    trial = [int(p) for p in _base_primes(min(reach, root))]
+    lam_cache: dict[PiecewiseLinear, dict[int, float]] = {}
+
+    w_chunks: list[np.ndarray] = []
+    prime_chunks: list[list[np.ndarray]] = [[] for _ in range(k)]
+    small_chunks: list[list[np.ndarray]] = [[] for _ in range(k)]
     max_w = 0.0
     count = 0
-    for a in range(start, q + 1, params.Wq if params.Wq > 1 else 1):
-        if gcd(a, q) != 1:
-            continue
-        count += 1
-        prod = 1.0
-        primes_of_n = []
-        for h, f_i in zip(offsets, F.fs):
-            ps = _distinct_primes(a + q * h)
-            primes_of_n.append(ps)
-            prod *= _lambda_from_primes(ps, f_i, logq)
-        w_a = prod * prod
-        if w_a == 0.0:
-            continue
-        max_w = max(max_w, w_a)
-        w_terms.append(w_a)
-        for i, h in enumerate(offsets):
-            if flags[a + q * h]:
-                prime_terms[i].append(w_a)
+    for lo in range(start, q + 1, step * _SSUM_CHUNK):
+        a = np.arange(lo, min(lo + step * _SSUM_CHUNK, q + 1), step, dtype=np.int64)
+        a = a[np.gcd(a, q) == 1]
+        count += a.size
+        prod = np.ones(a.size)
+        ns, counts = [], []
+        for h, f_i, cut in zip(offsets, F.fs, cuts):
+            n = a + q * h
+            key, small = _factor_keys(n, trial, cut, p_cut, reach > root)
+            uniq, inv = np.unique(key, return_inverse=True)
+            cache = lam_cache.setdefault(f_i, {})
+            lam = []
+            for kk in uniq.tolist():
+                if kk not in cache:
+                    cache[kk] = _lambda_from_primes(_key_primes(kk, trial), f_i, logq)
+                lam.append(cache[kk])
+            prod = prod * np.array(lam, dtype=np.float64)[inv]
+            ns.append(n)
+            counts.append(small)
+        w = prod * prod
+        nz = w != 0.0
+        w = w[nz]
+        if w.size:
+            max_w = max(max_w, float(w.max()))
+        w_chunks.append(w)
+        for i in range(k):
+            prime_chunks[i].append(w[flags[ns[i][nz]]])
             if p_cut >= 2:
-                c = sum(1 for p in primes_of_n[i] if p <= p_cut)
-                if c:
-                    small_terms[i].append(c * w_a)
+                c = counts[i][nz]
+                hit = c != 0
+                small_chunks[i].append(c[hit] * w[hit])
 
-    nonprime = fsum(w_terms)
-    primes_s = tuple(fsum(ts) for ts in prime_terms)
-    smalls = tuple(fsum(ts) for ts in small_terms)
+    def total(chunks: list[np.ndarray]) -> float:
+        return fsum(chain.from_iterable(c.tolist() for c in chunks))
+
+    nonprime = total(w_chunks)
+    primes_s = tuple(total(cs) for cs in prime_chunks)
+    smalls = tuple(total(cs) for cs in small_chunks)
     S = fsum(primes_s) - (m - 1) * nonprime - k * fsum(smalls)
     lower = S / (k * max_w) if max_w > 0 else 0.0
     return SSumReport(

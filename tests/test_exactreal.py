@@ -79,20 +79,20 @@ def test_floor_fuzz_vs_mpmath():
     import mpmath
     import numpy as np
 
-    mpmath.mp.dps = 60
     rng = np.random.default_rng(99)
-    for _ in range(500):
-        d = int(rng.choice([2, 3, 5, 7, 11, 13, 17, 19, 23]))
-        a = Fraction(int(rng.integers(-10**6, 10**6)), int(rng.integers(1, 10**4)))
-        b = Fraction(int(rng.integers(-10**6, 10**6)) or 1, int(rng.integers(1, 10**4)))
-        x = QuadExt(a, b, d)
-        want = int(
-            mpmath.floor(
-                mpmath.mpf(a.numerator) / a.denominator
-                + (mpmath.mpf(b.numerator) / b.denominator) * mpmath.sqrt(d)
+    with mpmath.workdps(60):
+        for _ in range(500):
+            d = int(rng.choice([2, 3, 5, 7, 11, 13, 17, 19, 23]))
+            a = Fraction(int(rng.integers(-10**6, 10**6)), int(rng.integers(1, 10**4)))
+            b = Fraction(int(rng.integers(-10**6, 10**6)) or 1, int(rng.integers(1, 10**4)))
+            x = QuadExt(a, b, d)
+            want = int(
+                mpmath.floor(
+                    mpmath.mpf(a.numerator) / a.denominator
+                    + (mpmath.mpf(b.numerator) / b.denominator) * mpmath.sqrt(d)
+                )
             )
-        )
-        assert x.floor() == want
+            assert x.floor() == want
 
 
 def test_sqrt_interval_encloses():

@@ -1,12 +1,16 @@
+import dataclasses
 from fractions import Fraction
-from math import exp, gcd, log
+from math import exp, floor, fsum, gcd, log
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import nquad, quad
 
+from primevisit import sieve_weights
 from primevisit.errors import BudgetExceeded, InvalidParameter, UsageError
-from primevisit.primes import factorize
+from primevisit.primes import factorize, iter_prime_segments
 from primevisit.sieve_weights import (
     CutoffF,
     PiecewiseLinear,
@@ -24,6 +28,7 @@ from primevisit.sieve_weights import (
     small_primorial_coprime,
     weight,
 )
+from primevisit.sieve_weights import _grid_I_J_refined, _lambda_from_primes, _trap_conv
 
 
 def test_small_primorial_examples():
@@ -245,6 +250,169 @@ def test_ssum_budget():
     params, F = _tensor_params()
     with pytest.raises(BudgetExceeded):
         s_sum_bruteforce(101, 2, (0, 2), params, F, work_cap=3)
+    # 101 // 6 + 1 = 17 residue slots x 2 offsets: the cap is inclusive
+    assert s_sum_bruteforce(101, 2, (0, 2), params, F, work_cap=34) == _ssum_oracle(
+        101, 2, (0, 2), params, F
+    )
+    with pytest.raises(BudgetExceeded, match="17 residues x 2 offsets exceeds work cap 33"):
+        s_sum_bruteforce(101, 2, (0, 2), params, F, work_cap=33)
+    # a + q h beyond 2^40
+    big = SieveParams.build(2**20, (0, 2**20), m=2, eps_k=0.0, w_override=3)
+    with pytest.raises(BudgetExceeded):
+        s_sum_bruteforce(2**20, 2, (0, 2**20), big, CutoffF.ramp_tensor(2, 0.05),
+                         work_cap=10**9)
+
+
+# --- s_sum_bruteforce against the per-residue loop ---------------------------
+
+
+def _ssum_oracle(q, m, offsets, params, F):
+    """The per-residue loop: factorize every a + q h_i and take its divisor
+    sum directly (budget checks left out)."""
+    offsets = tuple(offsets)
+    k = len(offsets)
+    top = q + q * max(offsets)
+    flags = np.zeros(top + 1, dtype=bool)
+    for seg in iter_prime_segments(2, top + 1):
+        flags[seg.lo : seg.hi] = seg.bits
+    logq = log(q)
+    p_cut = floor(exp(float(Fraction(params.rho)) * logq))
+    start = params.b0 % params.Wq if params.Wq > 1 else 1
+    if start == 0:
+        start = params.Wq
+    w_terms = []
+    prime_terms = [[] for _ in range(k)]
+    small_terms = [[] for _ in range(k)]
+    max_w = 0.0
+    count = 0
+    for a in range(start, q + 1, params.Wq if params.Wq > 1 else 1):
+        if gcd(a, q) != 1:
+            continue
+        count += 1
+        prod = 1.0
+        primes_of_n = []
+        for h, f_i in zip(offsets, F.fs):
+            ps = sorted(factorize(a + q * h))
+            primes_of_n.append(ps)
+            prod *= _lambda_from_primes(ps, f_i, logq)
+        w_a = prod * prod
+        if w_a == 0.0:
+            continue
+        max_w = max(max_w, w_a)
+        w_terms.append(w_a)
+        for i, h in enumerate(offsets):
+            if flags[a + q * h]:
+                prime_terms[i].append(w_a)
+            if p_cut >= 2:
+                c = sum(1 for p in primes_of_n[i] if p <= p_cut)
+                if c:
+                    small_terms[i].append(c * w_a)
+    nonprime = fsum(w_terms)
+    primes_s = tuple(fsum(ts) for ts in prime_terms)
+    smalls = tuple(fsum(ts) for ts in small_terms)
+    S = fsum(primes_s) - (m - 1) * nonprime - k * fsum(smalls)
+    return sieve_weights.SSumReport(
+        q=q, m=m, k=k, offsets=offsets,
+        nonprime_sum=nonprime, prime_sums=primes_s, smallfactor_sums=smalls,
+        S=S, max_weight=max_w,
+        census_lower_bound=S / (k * max_w) if max_w > 0 else 0.0,
+        residues_enumerated=count, smallprime_cutoff=p_cut,
+    )
+
+
+def _admissible(offsets):
+    return all(
+        len({h % p for h in offsets}) < p for p in (2, 3, 5, 7) if p <= len(offsets)
+    )
+
+
+@st.composite
+def _ssum_case(draw):
+    q = draw(st.one_of(st.integers(16, 3000), st.integers(1000, 3000)))
+    k = draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.integers(1, 6), min_size=k - 1, max_size=k - 1))
+    offsets = tuple(2 * sum(gaps[:i]) for i in range(k))
+    assume(_admissible(offsets))
+    theta = draw(st.sampled_from((0.5, 1.0)))
+    # supports up to the validate_cutoff limit sum s_i <= theta / 2
+    fs = []
+    left = theta / 2
+    for i in range(k):
+        fs.append(PiecewiseLinear.ramp(left * draw(st.floats(0.3, 1.0 if i == k - 1 else 0.9))))
+        left -= fs[-1].support
+    if draw(st.booleans()):
+        fs[0] = PiecewiseLinear(((0.0, 0.5), (fs[0].support / 3, 0.2), (fs[0].support, 0.0)))
+    w_override = draw(st.sampled_from((None, 3, 5, 7)))
+    # rho above the 1/(100k) of SieveParams.build, so that q^rho >= 2 occurs
+    rho = draw(st.sampled_from((None, Fraction(1, 4), Fraction(1, 2), Fraction(1))))
+    m = draw(st.integers(2, 3))
+    return q, m, offsets, theta, fs, w_override, rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ssum_case())
+def test_ssum_matches_per_residue_oracle(case):
+    q, m, offsets, theta, fs, w_override, rho = case
+    params = SieveParams.build(q, offsets, m=m, theta=theta, eps_k=0.0, w_override=w_override)
+    if rho is not None:
+        params = dataclasses.replace(params, rho=rho)
+    F = CutoffF.tensor(fs)
+    assert s_sum_bruteforce(q, m, offsets, params, F) == _ssum_oracle(
+        q, m, offsets, params, F
+    )
+
+
+def test_ssum_small_factor_sums():
+    q, offsets = 1009, (0, 2, 6)
+    params = SieveParams.build(q, offsets, m=2, theta=1.0, eps_k=0.0, w_override=5)
+    params = dataclasses.replace(params, rho=Fraction(1, 2))
+    F = CutoffF.ramp_tensor(3, 0.15)
+    rep = s_sum_bruteforce(q, 2, offsets, params, F)
+    assert rep.smallprime_cutoff == 31
+    assert all(v > 0 for v in rep.smallfactor_sums)
+    assert rep == _ssum_oracle(q, 2, offsets, params, F)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 16, 17, 18, 1 << 15])
+def test_ssum_chunking(monkeypatch, chunk):
+    # q = 101, W_q = 6: residue slots 1, 7, ..., 97 are 17 positions
+    monkeypatch.setattr(sieve_weights, "_SSUM_CHUNK", chunk)
+    q, offsets = 101, (0, 2)
+    params = SieveParams.build(q, offsets, m=2, theta=1.0, eps_k=0.0, w_override=3)
+    params = dataclasses.replace(params, rho=Fraction(1, 2))
+    F = CutoffF.ramp_tensor(2, 0.24)
+    assert s_sum_bruteforce(q, 2, offsets, params, F) == _ssum_oracle(
+        q, 2, offsets, params, F
+    )
+    q = 2310  # W_q = 1, 480 reduced residues among 2310 slots
+    params = SieveParams.build(q, offsets, m=2, theta=1.0, eps_k=0.0, w_override=3)
+    assert s_sum_bruteforce(q, 2, offsets, params, F) == _ssum_oracle(
+        q, 2, offsets, params, F
+    )
+
+
+def test_ssum_prime_factor_above_square_root():
+    # support 3 > 1: every prime factor of a + q h counts, including the one
+    # above sqrt(a + q h) that trial division leaves behind
+    q, offsets = 500, (0,)
+    params = SieveParams.build(q, offsets, m=2, theta=6.0, eps_k=0.0, w_override=3)
+    params = dataclasses.replace(params, rho=Fraction(1))
+    F = CutoffF.ramp_tensor(1, 3.0)
+    rep = s_sum_bruteforce(q, 2, offsets, params, F)
+    assert rep.smallprime_cutoff > 22  # isqrt(500)
+    assert rep == _ssum_oracle(q, 2, offsets, params, F)
+
+
+def test_ssum_offsets_order_and_sign():
+    q = 1009
+    F = CutoffF.ramp_tensor(3, 0.08)
+    params = SieveParams.build(q, (0, 2, 6), m=2, eps_k=0.0, w_override=5)
+    rep = s_sum_bruteforce(q, 2, (0, 6, 2), params, F)
+    ref = s_sum_bruteforce(q, 2, (0, 2, 6), params, F)
+    assert rep.prime_sums == (ref.prime_sums[0], ref.prime_sums[2], ref.prime_sums[1])
+    assert rep.nonprime_sum == ref.nonprime_sum
+    with pytest.raises(UsageError, match="offsets must be >= 0"):
+        s_sum_bruteforce(q, 2, (0, -2, 6), params, F)
 
 
 def test_discrepancy_r1_vanishes():
@@ -276,3 +444,47 @@ def test_discrepancy_envelope():
     for q, R in ((101, 10), (2310, 40)):
         rep = discrepancy_reduced(q, R)
         assert rep.exact <= 2 * R * divisor_count(q)
+
+
+# --- the psi quadrature against direct convolution ---------------------------
+
+
+def _trap_conv_direct(f, g, dx):
+    """_trap_conv by direct np.convolve."""
+    n = len(f)
+    s = np.convolve(f, g)[:n]
+    s = s - 0.5 * (f[0] * g + f * g[0])
+    return s * dx
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 101, 1025, 4097, 8193, 16385])
+def test_trap_conv_fft_matches_direct(n):
+    rng = np.random.default_rng(n)
+    f = rng.random(n) + 0.01
+    g = rng.exponential(size=n)
+    want = _trap_conv_direct(f, g, 0.5)
+    got = _trap_conv(f, g, 0.5)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)) + 1e-300
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_psi_grid_fft_matches_direct(monkeypatch, k):
+    F = CutoffF.psi_product(k, theta=1.0)
+    I, J = _grid_I_J_refined.__wrapped__(F)
+    monkeypatch.setattr(sieve_weights, "_trap_conv", _trap_conv_direct)
+    I_ref, J_ref = _grid_I_J_refined.__wrapped__(F)
+    assert I == pytest.approx(I_ref, rel=1e-12, abs=0)
+    assert J == pytest.approx(J_ref, rel=1e-12, abs=0)
+
+
+def test_psi_cutoff_value_fft_matches_direct(monkeypatch):
+    points = []
+    for k in range(2, 7):
+        R = CutoffF.psi_product(k, theta=1.0, eps_k=0.1).simplex_cap
+        points += [(k, [0.0] * k), (k, [R / (3 * k)] * k), (k, [R / 2] + [0.0] * (k - 1))]
+    got = [cutoff_value(CutoffF.psi_product(k, theta=1.0, eps_k=0.1), t) for k, t in points]
+    monkeypatch.setattr(sieve_weights, "_trap_conv", _trap_conv_direct)
+    want = [cutoff_value(CutoffF.psi_product(k, theta=1.0, eps_k=0.1), t) for k, t in points]
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12, abs=0)
