@@ -12,31 +12,31 @@ import json
 from fractions import Fraction
 
 from primevisit import (
+    Mobius,
     RealNumberSpec,
+    Rotation,
+    Shift,
     UnimodularMatrix,
     UpperHalfPoint,
     early_visit_search,
     first_return,
     kac_empirical,
-    make_mobius,
-    make_right_shift,
-    make_rotation,
     prime_visit_times,
     verify_certificate,
 )
 
 print("== right shift on Z/q: progressions as dynamics ==")
-shift = make_right_shift(4)
+shift = Shift(4)
 print(f"visit times of 1 from 0 (q=4): {prime_visit_times(shift, 0, 1, 0.5, 3, 10**4)}")
 print("(exactly the primes = 1 mod 4)")
 
 print()
 print("== circle rotation: returns come from convergents ==")
-rot = make_rotation(RealNumberSpec.golden())
+rot = Rotation(RealNumberSpec.golden())
 for eps in (Fraction(1, 10), Fraction(1, 1000)):
     print(f"first return within {float(eps)}: {first_return(rot, 0, eps)}")
 
-rep = kac_empirical(make_rotation(RealNumberSpec.quadratic(-1, 1, 2)),
+rep = kac_empirical(Rotation(RealNumberSpec.quadratic(-1, 1, 2)),
                     0, 0.05, n_samples=10**4, cap=10**4, seed=0)
 print(f"mean return to a 0.1-arc over 10^4 samples: {rep.mean_return:.3f} "
       f"(expected 1/mu = {rep.target:.0f})")
@@ -55,7 +55,7 @@ print(f"re-verified from scratch: {ok}")
 print()
 print("== Moebius action on the modular surface ==")
 g = UnimodularMatrix.exact(1, Fraction(3, 10), 0, 1)
-mob = make_mobius(g)
+mob = Mobius(g)
 x0 = UpperHalfPoint(Fraction(0), Fraction(1))
 print(f"g = shear by 3/10 (parabolic, g^10 lands in the modular group)")
 print(f"first return of i within 1e-3: {first_return(mob, x0, Fraction(1, 1000), cap=100)}")

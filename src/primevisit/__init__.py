@@ -44,16 +44,16 @@ from .contfrac import (
 )
 from .dynamics import (
     EarlyVisitCertificate,
-    MMPSystem,
+    Mobius,
+    Rotation,
+    Shift,
+    System,
     UnimodularMatrix,
     UpperHalfPoint,
     early_visit_search,
     first_return,
     hyp_distance,
     kac_empirical,
-    make_mobius,
-    make_right_shift,
-    make_rotation,
     prime_visit_times,
     quotient_distance,
     reduce_fundamental,

@@ -28,13 +28,13 @@ from .contfrac import (
     return_time_bruteforce,
 )
 from .dynamics import (
+    Mobius,
+    Rotation,
+    Shift,
     UnimodularMatrix,
     UpperHalfPoint,
     early_visit_search,
     kac_empirical,
-    make_mobius,
-    make_right_shift,
-    make_rotation,
     prime_visit_times,
     quotient_distance,
     reduce_fundamental,
@@ -43,6 +43,7 @@ from .dynamics import (
 from .primes import divisor_count, factorize
 from .sieve_weights import (
     CutoffF,
+    PiecewiseLinear,
     SieveParams,
     detection_ratio,
     discrepancy_reduced,
@@ -172,7 +173,7 @@ def c04_return_time_bounds():
 def c05_kac():
     """Rotation by sqrt2-1, eps=0.05, 10^4 samples: mean within 10% of 10."""
     rep = kac_empirical(
-        make_rotation(RealNumberSpec.quadratic(-1, 1, 2)),
+        Rotation(RealNumberSpec.quadratic(-1, 1, 2)),
         0, 0.05, n_samples=10**4, cap=10**4, seed=_SEED,
     )
     ok = rep.relative_error < 0.10 and rep.censored == 0
@@ -242,16 +243,46 @@ def c06_weight_oracle():
 # --- criterion 7: singular integrals ----------------------------------------
 
 
+def _quad_deriv(f: PiecewiseLinear, square: bool) -> float:
+    """int_0^support f' (or (f')^2) by scipy quadrature, independent of the
+    closed forms."""
+    from scipy.integrate import quad
+
+    segs = f.deriv_segments()
+
+    def integrand(x):
+        for t0, t1, s in segs:
+            if t0 <= x <= t1:
+                return s * s if square else s
+        return 0.0
+
+    val, _ = quad(integrand, 0.0, f.support, points=[t for t, _ in f.nodes], limit=200)
+    return val
+
+
+def singular_I_quad(F: CutoffF) -> float:
+    """Tensor-family I(dF) by quadrature: the oracle for `singular_I`."""
+    out = 1.0
+    for f in F.fs:
+        out *= _quad_deriv(f, square=True)
+    return out
+
+
+def singular_J_quad(F: CutoffF, i: int) -> float:
+    """Tensor-family J_i(dF) by quadrature: the oracle for `singular_J`."""
+    out = _quad_deriv(F.fs[i], square=False) ** 2
+    for j, g in enumerate(F.fs):
+        if j != i:
+            out *= _quad_deriv(g, square=True)
+    return out
+
+
 def c07_singular_integrals():
     """Tensor closed forms vs quadrature at 1e-9; psi-family grid values vs
     10^7-sample Monte-Carlo within 3 standard errors; ratio(k=20) > ratio(k=5)."""
     F = CutoffF.ramp_tensor(2, 0.125)
     closed = (singular_I(F), singular_J(F, 0), singular_J(F, 1))
-    quad = (
-        singular_I(F, method="quad"),
-        singular_J(F, 0, method="quad"),
-        singular_J(F, 1, method="quad"),
-    )
+    quad = (singular_I_quad(F), singular_J_quad(F, 0), singular_J_quad(F, 1))
     if not (abs(closed[0] - 64.0) < 1e-9 and abs(closed[1] - 8.0) < 1e-9):
         return False, f"closed forms off: I={closed[0]}, J={closed[1]}", 600.0
     if any(abs(c - v) > 1e-9 for c, v in zip(closed, quad)):
@@ -323,7 +354,7 @@ def c09_discrepancy_envelope():
 def c10_shift_equivalence():
     checked = 0
     for q in range(2, 51):
-        system = make_right_shift(q)
+        system = Shift(q)
         for a in range(q):
             if gcd(a, q) != 1:
                 continue
@@ -351,7 +382,7 @@ def _fibonacci_set(limit: int) -> set:
 def c11_certificates():
     """Golden rotation and a parabolic shear Moebius action both produce
     certificates that re-verify with certified arithmetic."""
-    rot = make_rotation(RealNumberSpec.golden())
+    rot = Rotation(RealNumberSpec.golden())
     cert = early_visit_search(rot, 0, Fraction(1, 10), 2, 270)
     ok, det = verify_certificate(rot, cert, 0)
     if not ok:
@@ -371,7 +402,7 @@ def c11_certificates():
     shear = UnimodularMatrix.exact(1, Fraction(3, 10), 0, 1)
     rotation_part = UnimodularMatrix.identity()
     g = shear @ rotation_part
-    mob = make_mobius(g)
+    mob = Mobius(g)
     x0 = UpperHalfPoint(Fraction(0), Fraction(1))
     cert2 = early_visit_search(mob, x0, Fraction(2, 10), 2, 270)
     ok2, det2 = verify_certificate(mob, cert2, x0)

@@ -39,13 +39,13 @@ from .contfrac import (
     type_estimate,
 )
 from .dynamics import (
+    Mobius,
+    Rotation,
+    Shift,
     UnimodularMatrix,
     UpperHalfPoint,
     early_visit_search,
     kac_empirical,
-    make_mobius,
-    make_right_shift,
-    make_rotation,
     prime_visit_times,
     verify_certificate,
 )
@@ -74,7 +74,6 @@ class RunConfig:
     fmt: str = "json"
     seed: int = 0
     work_cap: int = 10**9
-    threads: int = 1
     params: dict = field(default_factory=dict)
 
 
@@ -88,14 +87,14 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _emit(config: RunConfig, payload, table: Optional[list[dict]] = None):
+def _emit(config: RunConfig, fields, table: Optional[list[dict]] = None):
     """Write one record (or a row table) as JSON or CSV, byte-stable."""
     record = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "command": config.command,
     }
-    record.update(payload)
+    record.update(fields)
     if table is not None:
         record["rows"] = table
     if config.fmt == "json":
@@ -127,18 +126,18 @@ def _build_system(args):
     if args.system == "shift":
         if args.q is None:
             raise UsageError("--q required for the shift system")
-        return make_right_shift(args.q)
+        return Shift(args.q)
     if args.system == "rotation":
         if args.alpha is None:
             raise UsageError("--alpha required for the rotation system")
-        return make_rotation(RealNumberSpec.parse(args.alpha))
+        return Rotation(RealNumberSpec.parse(args.alpha))
     if args.system == "mobius":
         if args.g is None:
             raise UsageError("--g a,b,c,d required for the mobius system")
         entries = [Fraction(v) for v in args.g.split(",")]
         if len(entries) != 4:
             raise UsageError("--g needs four comma-separated entries")
-        return make_mobius(UnimodularMatrix(*entries))
+        return Mobius(UnimodularMatrix(*entries))
     raise UsageError(f"unknown system {args.system!r}")
 
 
@@ -205,7 +204,7 @@ def _cmd_weights(args, config):
         F, theta=args.theta if args.family == "tensor" else None,
         C2=args.C2, m=args.m,
     )
-    payload = {
+    fields = {
         "family": F.family, "k": F.k, "I": report.I, "J_sum": report.J_sum,
         "J": [singular_J(F, i) for i in range(F.k)],
         "ratio": report.ratio, "bound": report.bound,
@@ -213,10 +212,10 @@ def _cmd_weights(args, config):
     }
     if args.m is not None:
         sel = select_k_rho(args.m, args.theta, args.C2)
-        payload["select_k"] = sel.k
-        payload["select_rho_log10"] = sel.rho_log10
-        payload["select_desk_scale"] = sel.desk_scale
-    _emit(config, payload)
+        fields["select_k"] = sel.k
+        fields["select_rho_log10"] = sel.rho_log10
+        fields["select_desk_scale"] = sel.desk_scale
+    _emit(config, fields)
 
 
 def _cmd_ssum(args, config):
@@ -270,11 +269,11 @@ def _cmd_prop71(args, config):
     grid = [Fraction(t) for t in args.eps_grid.split(",")]
     rows = check_prop71(alpha, grid, delta=args.delta)
     est = type_estimate(alpha, depth=args.depth) if args.depth else None
-    payload = {"alpha": alpha.describe(), "delta": args.delta}
+    fields = {"alpha": alpha.describe(), "delta": args.delta}
     if est is not None and est.applicable:
-        payload["type_exponent_max"] = est.exponent_max
-        payload["type_liminf_proxy"] = est.liminf_proxy
-    _emit(config, payload, table=[
+        fields["type_exponent_max"] = est.exponent_max
+        fields["type_liminf_proxy"] = est.liminf_proxy
+    _emit(config, fields, table=[
         {"epsilon": r.epsilon, "tau": r.tau, "lower": r.lower,
          "upper": r.upper, "lower_ok": r.lower_ok, "upper_ok": r.upper_ok,
          "lower_kind": r.lower_kind}
@@ -357,8 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--work-cap", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1,
-                       help="cap on worker parallelism (current code is sequential)")
 
     p = sub.add_parser("pm", help="m-th least prime in a progression")
     p.add_argument("--q", type=int, required=True)
@@ -508,7 +505,6 @@ def main(argv=None) -> int:
         fmt=args.format,
         seed=args.seed,
         work_cap=work_cap,
-        threads=max(1, args.threads),
     )
     try:
         code = _HANDLERS[args.command](args, config)

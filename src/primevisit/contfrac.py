@@ -9,13 +9,13 @@ certified rational intervals (decimal / truncated inputs).
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, gcd, log
+from math import ceil, log
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import PrecisionExhausted, CapExceeded, UsageError
-from .exactreal import QuadExt, RatInterval, _floor_surd, sqrt_interval
+from .exactreal import QuadExt, RatInterval, _floor_surd, _surd_form, sqrt_interval
 
 Number = Union[int, float, Fraction]
 
@@ -195,18 +195,7 @@ def _expand_rational(x: Fraction) -> list[int]:
 
 def _expand_quadratic(x: QuadExt, depth: int) -> tuple[list[int], Optional[int]]:
     """Surd algorithm on (P + sqrt(D))/Q; returns quotients and period length."""
-    # write x = (A + B*sqrt(d))/C with integers, then fold sign of B into P, Q
-    den = x.a.denominator * x.b.denominator // gcd(
-        x.a.denominator, x.b.denominator
-    )
-    A = x.a.numerator * (den // x.a.denominator)
-    B = x.b.numerator * (den // x.b.denominator)
-    C = den
-    D = B * B * x.d
-    if B > 0:
-        P, Q = A, C
-    else:
-        P, Q = -A, -C
+    P, D, Q = _surd_form(x)
     if (D - P * P) % Q != 0:
         P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
 
@@ -297,43 +286,41 @@ class ReturnTimeReport:
     achieved_error: float = 0.0  # half-width of the enclosure (interval inputs)
 
 
-def _dist_n_alpha_exact(alpha: RealNumberSpec, n: int) -> QuadExt:
-    return (alpha.exact_value() * n).dist_to_nearest_int()
-
-
-def _dist_n_alpha_interval(
-    alpha: RealNumberSpec, n: int, depth: int = 64
+def _dist_enclosure(
+    alpha: RealNumberSpec, n: int, eps: Optional[Fraction] = None
 ) -> RatInterval:
-    """Certified enclosure of ||n*alpha||, refining truncation depth for
-    quotient-list inputs."""
-    if alpha.kind == "quotients":
-        d = 8
-        while True:
-            iv = (alpha.interval(depth=min(d, len(alpha.quotients))) * n)
-            try:
-                return iv.dist_to_nearest_int()
-            except PrecisionExhausted:
-                if d >= len(alpha.quotients):
-                    raise
-                d *= 2
-    return (alpha.interval() * n).dist_to_nearest_int()
+    """Certified enclosure of ||n*alpha||, narrow enough to decide
+    ||n*alpha|| < eps when eps is given.  Quotient-list inputs double their
+    truncation depth until it is; other inputs have one fixed enclosure."""
+    d = 8
+    while True:
+        try:
+            out = (alpha.interval(depth=d) * n).dist_to_nearest_int()
+            if eps is not None:
+                out.compare_lt(eps)
+            return out
+        except PrecisionExhausted:
+            if alpha.kind != "quotients" or d >= len(alpha.quotients):
+                raise
+            d *= 2
 
 
 def _dist_lt(alpha: RealNumberSpec, n: int, eps: Fraction) -> bool:
     """Certified ||n*alpha|| < eps."""
-    if alpha.is_exact and alpha.kind != "quotients":
-        return _dist_n_alpha_exact(alpha, n) < eps
-    if alpha.kind == "quotients":
-        d = 8
-        while True:
-            try:
-                iv = alpha.interval(depth=min(d, len(alpha.quotients))) * n
-                return iv.dist_to_nearest_int().compare_lt(eps)
-            except PrecisionExhausted:
-                if d >= len(alpha.quotients):
-                    raise
-                d *= 2
-    return _dist_n_alpha_interval(alpha, n).compare_lt(eps)
+    x = alpha.exact_value()
+    if x is not None:
+        return (x * n).dist_to_nearest_int() < eps
+    return _dist_enclosure(alpha, n, eps).compare_lt(eps)
+
+
+def _dist_value(alpha: RealNumberSpec, n: int) -> tuple[float, float]:
+    """||n*alpha|| as (value, half-width of its enclosure); exact (half-width
+    0) for rational and quadratic inputs."""
+    x = alpha.exact_value()
+    if x is not None:
+        return float((x * n).dist_to_nearest_int()), 0.0
+    iv = _dist_enclosure(alpha, n)
+    return float((iv.lo + iv.hi) / 2), float(iv.width / 2)
 
 
 _DEPTH_CAP = 5000
@@ -360,14 +347,9 @@ def return_time(alpha: RealNumberSpec, epsilon: Number) -> ReturnTimeReport:
                 continue
             last_q = q_n
             if _dist_lt(alpha, q_n, eps):
-                if alpha.is_exact and alpha.kind != "quotients":
-                    d = _dist_n_alpha_exact(alpha, q_n)
-                    return ReturnTimeReport(alpha, eps, q_n, float(d), "convergent")
-                iv = _dist_n_alpha_interval(alpha, q_n)
-                mid = (iv.lo + iv.hi) / 2
+                achieved, err = _dist_value(alpha, q_n)
                 return ReturnTimeReport(
-                    alpha, eps, q_n, float(mid), "convergent",
-                    achieved_error=float(iv.width / 2),
+                    alpha, eps, q_n, achieved, "convergent", achieved_error=err
                 )
         if cf.terminated or (alpha.kind == "quotients" and cf.depth >= len(alpha.quotients)) or (alpha.kind == "decimal" and cf.depth < depth):
             raise PrecisionExhausted(
@@ -395,8 +377,9 @@ def return_time_bruteforce(
     if cap < 1:
         raise UsageError(f"cap must be >= 1, got {cap}")
 
-    if alpha.is_exact and alpha.kind != "quotients":
-        a_float = float(alpha.exact_value())
+    x = alpha.exact_value()
+    if x is not None:
+        a_float = float(x)
         a_err = 2.0 ** -50
     else:
         iv = alpha.interval()
@@ -413,13 +396,9 @@ def return_time_bruteforce(
         for idx in np.flatnonzero(dist < eps_f + margin):
             cand = lo + int(idx)
             if _dist_lt(alpha, cand, eps):
-                if alpha.is_exact and alpha.kind != "quotients":
-                    d = _dist_n_alpha_exact(alpha, cand)
-                    return ReturnTimeReport(alpha, eps, cand, float(d), "bruteforce")
-                ivd = _dist_n_alpha_interval(alpha, cand)
+                achieved, err = _dist_value(alpha, cand)
                 return ReturnTimeReport(
-                    alpha, eps, cand, float((ivd.lo + ivd.hi) / 2), "bruteforce",
-                    achieved_error=float(ivd.width / 2),
+                    alpha, eps, cand, achieved, "bruteforce", achieved_error=err
                 )
     raise CapExceeded(
         f"no n <= {cap} with ||n*alpha|| < {float(eps)}", cap=cap,
@@ -466,14 +445,10 @@ def type_estimate(alpha: RealNumberSpec, depth: int) -> TypeEstimate:
     proxies = []
     for i in usable:
         exps.append(log(qs[i + 1]) / log(qs[i]))
-        if alpha.is_exact and alpha.kind != "quotients":
-            dist = float(_dist_n_alpha_exact(alpha, qs[i]))
-        else:
-            try:
-                iv = _dist_n_alpha_interval(alpha, qs[i])
-                dist = float((iv.lo + iv.hi) / 2)
-            except PrecisionExhausted:
-                continue
+        try:
+            dist, _ = _dist_value(alpha, qs[i])
+        except PrecisionExhausted:
+            continue
         if dist > 0:
             proxies.append(log(qs[i]) / log(1.0 / dist))
     if not exps or not proxies:

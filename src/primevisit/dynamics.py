@@ -7,19 +7,19 @@ hyperbolic area).  On top of them: first return times, the m-th prime visit
 time to a ball, the early-visit search that pigeonholes a prime cluster into
 a progression of return times, and empirical mean-return statistics.
 
-Certification strategy: shift systems are integer arithmetic; rotations with
-rational/quadratic angles use exact quadratic-field arithmetic; Moebius
-systems with rational matrices use exact Fraction points (parabolic powers
-are closed form, so orbits stay cheap).  Float matrices fall back to float
-matrix powers (renormalizing the determinant), adequate for short orbits
-only.
+Each system is a class (Shift, Rotation, Mobius) whose methods carry its
+geometry and its exact fast paths.  Certification strategy: shift systems
+are integer arithmetic; rotations with rational/quadratic angles use exact
+quadratic-field arithmetic; Moebius systems take rational matrices only and
+use exact Fraction points (parabolic powers are closed form, so orbits stay
+cheap).
 """
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 from math import asinh, ceil, cosh, sinh, sqrt
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -150,7 +150,7 @@ class UnimodularMatrix:
 
     def power(self, n: int) -> "UnimodularMatrix":
         """g^n: closed form for exact parabolic matrices (I + nN), binary
-        powering otherwise (floats renormalize det after each multiply)."""
+        powering otherwise."""
         if n == 0:
             return UnimodularMatrix.identity()
         if n < 0:
@@ -163,13 +163,12 @@ class UnimodularMatrix:
             )
         result = None
         base = self
-        exact = self.is_exact
         while n:
             if n & 1:
-                result = base if result is None else _renorm(result @ base, exact)
+                result = base if result is None else result @ base
             n >>= 1
             if n:
-                base = _renorm(base @ base, exact)
+                base = base @ base
         return result
 
 
@@ -184,14 +183,6 @@ class _Nilpotent:
         return (
             self.a + self.d == 0 and self.a * self.d - self.b * self.c == 0
         )
-
-
-def _renorm(m: UnimodularMatrix, exact: bool) -> UnimodularMatrix:
-    if exact:
-        return m
-    det = m.a * m.d - m.b * m.c
-    s = sqrt(abs(det))
-    return UnimodularMatrix(m.a / s, m.b / s, m.c / s, m.d / s)
 
 
 def cosh_dist_minus_one(z: UpperHalfPoint, w: UpperHalfPoint) -> Scalar:
@@ -325,35 +316,8 @@ def _cosh_m1_lt(value: Scalar, eps: Fraction) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the system abstraction
+# the systems
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class MMPSystem:
-    """A metric space with a measure-preserving isometry and ball measures.
-
-    apply/iterate compute the orbit of a point (iterate uses closed forms or
-    matrix powers, not repeated composition); dist is the metric; dist_lt is
-    the certified comparison d(x, y) < eps used by searches and certificate
-    verification.
-    """
-
-    name: str
-    description: str
-    apply: Callable
-    iterate: Callable  # (x, n) -> T^n x
-    dist: Callable  # (x, y) -> float
-    dist_lt: Callable  # (x, y, eps: Fraction) -> bool, certified
-    ball_measure: Callable  # (x, eps) -> float in [0, 1]
-    doubling_lambda: float
-    diameter: Optional[float] = None
-    return_time_fn: Optional[Callable] = None  # (x0, eps) -> n, exact fast path
-    point_repr: Callable = staticmethod(lambda x: repr(x))
-    point_float: Callable = staticmethod(lambda x: x)
-    certified: bool = True
-    payload: dict = field(default_factory=dict)
-    ball_caveat: Optional[Callable] = None  # (x, eps) -> str | None
 
 
 def _to_eps_fraction(epsilon: Scalar) -> Fraction:
@@ -363,36 +327,108 @@ def _to_eps_fraction(epsilon: Scalar) -> Fraction:
     return eps
 
 
-def make_right_shift(q: int) -> MMPSystem:
+class System:
+    """A metric space with a measure-preserving isometry T and ball measures.
+
+    Each subclass has `description` and these methods: iterate(x, n) = T^n x
+    (closed forms or matrix powers, not repeated composition); dist(x, y), a
+    float; dist_lt(x, y, eps), the certified comparison d(x, y) < eps that
+    searches and certificate checks use; ball_measure(x, eps) in [0, 1]; and
+    point_repr / point_float for certificates.  The scans below are generic;
+    a subclass overrides them where it has an exact fast path.
+    """
+
+    description: str
+
+    def first_return(self, x0, eps: Fraction, cap: Optional[int] = None) -> int:
+        """Least n >= 1 with d(T^n x0, x0) < eps, by scanning n = 1..cap;
+        the default cap is twice the recurrence bound mu(B(x0; eps/2))^-1."""
+        mu = self.ball_measure(x0, float(eps) / 2.0)
+        if cap is None:
+            if mu <= 0:
+                raise InvalidParameter("ball has measure zero at this radius")
+            cap = max(1000, ceil(2.0 / mu))
+        for n in range(1, cap + 1):
+            if self.dist_lt(self.iterate(x0, n), x0, eps):
+                return n
+        raise CapExceeded(
+            f"no return within {cap} steps (recurrence bound mu(B(x0; eps/2))^-1 "
+            f"= {1.0 / mu:.3g})",
+            cap=cap,
+            context={"system": self.description, "epsilon": float(eps)},
+        )
+
+    def prime_visits(self, x0, x, eps: Fraction, m: int, cap: int) -> list[int]:
+        """The m smallest primes p <= cap with d(T^p x0, x) < eps, by testing
+        every prime in turn."""
+        found = []
+        for seg in iter_prime_segments(2, cap + 1):
+            for p in map(int, seg.primes()):
+                if self.dist_lt(self.iterate(x0, p), x, eps):
+                    found.append(p)
+                    if len(found) == m:
+                        return found
+        raise CapExceeded(f"only {len(found)} prime visits up to {cap}", cap=cap)
+
+    def kac(self, x0, eps: float, target: float, n_samples: int, cap: int,
+            seed: int) -> "KacReport":
+        """Mean return time of points sampled in B(x0; eps), against target
+        = mu(B)^-1; implemented by the systems that can sample their balls."""
+        raise UsageError("empirical mean returns implemented for shift and rotation")
+
+
+class Shift(System):
     """X = Z/q with the discrete metric, counting measure / q, T: a -> a+1.
 
     Every eps in (0, 1] gives the same balls (single points); eps > 1 makes
     the ball all of X.
     """
-    if q < 2:
-        raise InvalidParameter(f"need q >= 2, got {q}")
 
-    def dist(x, y):
-        return 0.0 if (x - y) % q == 0 else 1.0
+    def __init__(self, q: int):
+        if q < 2:
+            raise InvalidParameter(f"need q >= 2, got {q}")
+        self.q = q
+        self.description = f"right shift on Z/{q}"
 
-    def rt(x0, eps):
-        return q if eps <= 1 else 1
+    def iterate(self, x, n):
+        return (x + n) % self.q
 
-    return MMPSystem(
-        name=f"shift_{q}",
-        description=f"right shift on Z/{q}",
-        apply=lambda x: (x + 1) % q,
-        iterate=lambda x, n: (x + n) % q,
-        dist=dist,
-        dist_lt=lambda x, y, eps: dist(x, y) < eps,
-        ball_measure=lambda x, eps: 1.0 / q if eps <= 1 else 1.0,
-        doubling_lambda=1.0,
-        diameter=1.0,
-        return_time_fn=rt,
-        point_repr=lambda x: str(int(x)),
-        point_float=lambda x: int(x),
-        payload={"q": q},
-    )
+    def dist(self, x, y) -> float:
+        return 0.0 if (x - y) % self.q == 0 else 1.0
+
+    def dist_lt(self, x, y, eps) -> bool:
+        return self.dist(x, y) < eps
+
+    def ball_measure(self, x, eps) -> float:
+        return 1.0 / self.q if eps <= 1 else 1.0
+
+    def point_repr(self, x) -> str:
+        return str(int(x))
+
+    def point_float(self, x):
+        return int(x)
+
+    def first_return(self, x0, eps: Fraction, cap: Optional[int] = None) -> int:
+        return self.q if eps <= 1 else 1
+
+    def prime_visits(self, x0, x, eps: Fraction, m: int, cap: int) -> list[int]:
+        """Visits to a point are the primes in one progression mod q."""
+        if eps > 1:
+            return super().prime_visits(x0, x, eps, m, cap)
+        found = primes_in_ap(self.q, (x - x0) % self.q, cap)[:m]
+        if len(found) < m:
+            raise CapExceeded(f"only {len(found)} prime visits up to {cap}", cap=cap)
+        return found
+
+    def kac(self, x0, eps, target, n_samples, cap, seed) -> "KacReport":
+        # ball is {x0}; the single sample returns in exactly q steps
+        q = self.q
+        return KacReport(
+            mean_return=float(q), target=target,
+            relative_error=abs(q - target) / target,
+            n_samples=1, censored=0, ergodic=True,
+            note="deterministic cycle",
+        )
 
 
 def _circle_point(x) -> QuadExt:
@@ -401,48 +437,111 @@ def _circle_point(x) -> QuadExt:
     return QuadExt(Fraction(x)).frac()
 
 
-def make_rotation(alpha: RealNumberSpec) -> MMPSystem:
+class Rotation(System):
     """X = [0, 1) with the circle metric ||x - y||, Lebesgue measure,
-    T: x -> x + alpha mod 1; lambda = 2.
+    T: x -> x + alpha mod 1.
 
     Rational and quadratic angles are exact; decimal literals are taken at
     their exact rational value (the rotation by that rational).
     """
-    if alpha.kind == "decimal":
-        alpha = RealNumberSpec.rational(Fraction(alpha.digits))
-    if alpha.kind == "quotients":
-        raise InvalidParameter("rotation needs a rational/quadratic/decimal angle")
-    a = alpha.exact_value()
-    if not (QuadExt(0) < a and a < QuadExt(1)):
-        raise InvalidParameter("alpha must lie in (0, 1)")
 
-    def dist_exact(x, y):
+    def __init__(self, alpha: RealNumberSpec):
+        if alpha.kind == "decimal":
+            alpha = RealNumberSpec.rational(Fraction(alpha.digits))
+        if alpha.kind == "quotients":
+            raise InvalidParameter("rotation needs a rational/quadratic/decimal angle")
+        a = alpha.exact_value()
+        if not (QuadExt(0) < a and a < QuadExt(1)):
+            raise InvalidParameter("alpha must lie in (0, 1)")
+        self.alpha = alpha
+        self.a = a
+        self.description = f"circle rotation by {alpha.describe()}"
+
+    def iterate(self, x, n) -> QuadExt:
+        return (_circle_point(x) + self.a * n).frac()
+
+    def _dist_exact(self, x, y) -> QuadExt:
         return (_circle_point(x) - _circle_point(y)).dist_to_nearest_int()
 
-    def rt(x0, eps):
+    def dist(self, x, y) -> float:
+        return float(self._dist_exact(x, y))
+
+    def dist_lt(self, x, y, eps) -> bool:
+        return self._dist_exact(x, y) < Fraction(eps)
+
+    def ball_measure(self, x, eps) -> float:
+        return min(2.0 * float(eps), 1.0)
+
+    def point_repr(self, x) -> str:
+        return repr(_circle_point(x))
+
+    def point_float(self, x) -> float:
+        return float(_circle_point(x))
+
+    def first_return(self, x0, eps: Fraction, cap: Optional[int] = None) -> int:
         # returns of a rotation do not depend on the base point
-        return return_time(alpha, eps).tau
+        return return_time(self.alpha, eps).tau
 
-    return MMPSystem(
-        name="rotation",
-        description=f"circle rotation by {alpha.describe()}",
-        apply=lambda x: (_circle_point(x) + a).frac(),
-        iterate=lambda x, n: (_circle_point(x) + a * n).frac(),
-        dist=lambda x, y: float(dist_exact(x, y)),
-        dist_lt=lambda x, y, eps: dist_exact(x, y) < Fraction(eps),
-        ball_measure=lambda x, eps: min(2.0 * float(eps), 1.0),
-        doubling_lambda=2.0,
-        diameter=0.5,
-        return_time_fn=rt,
-        point_repr=lambda x: repr(_circle_point(x)),
-        point_float=lambda x: float(_circle_point(x)),
-        payload={"alpha": alpha},
-    )
+    def prime_visits(self, x0, x, eps: Fraction, m: int, cap: int) -> list[int]:
+        """Float prescan over all primes <= cap with exact confirmation of
+        every candidate within the error margin; nothing outside the margin
+        can pass."""
+        af = float(self.alpha)
+        x0f = self.point_float(x0)
+        xf = self.point_float(x)
+        eps_f = float(eps)
+        x0q = _circle_point(x0)
+        xq = _circle_point(x)
 
+        found = []
+        for seg in iter_prime_segments(2, cap + 1):
+            ps = seg.primes()
+            pos = np.mod(x0f + ps.astype(np.float64) * af, 1.0)
+            d = np.abs(pos - xf)
+            d = np.minimum(d, 1.0 - d)
+            margin = float(seg.hi) * 2.0 ** -50 + 1e-12
+            for p in map(int, ps[d < eps_f + margin]):
+                if (x0q + self.a * p - xq).dist_to_nearest_int() < eps:
+                    found.append(p)
+                    if len(found) == m:
+                        return found
+        raise CapExceeded(f"only {len(found)} prime visits up to {cap}", cap=cap)
 
-# modular surface constants: area pi/3, elliptic points i and e^{i pi/3}
-_ELLIPTIC_I = (0.0, 1.0)
-_ELLIPTIC_RHO = (0.5, sqrt(3.0) / 2.0)
+    def kac(self, x0, eps, target, n_samples, cap, seed) -> "KacReport":
+        """Samples uniform in the arc, stepped in floats: the statistic needs
+        no certification."""
+        ergodic = self.alpha.kind != "rational"
+        af = float(self.alpha)
+        x0f = self.point_float(x0)
+        rng = np.random.default_rng(seed)
+        samples = np.mod(x0f + rng.uniform(-eps, eps, size=n_samples), 1.0)
+
+        # step all samples together until each has returned to the arc
+        pos = samples.copy()
+        times = np.zeros(n_samples, dtype=np.int64)
+        active = np.ones(n_samples, dtype=bool)
+        for n in range(1, cap + 1):
+            pos[active] = np.mod(pos[active] + af, 1.0)
+            d = np.abs(pos[active] - x0f)
+            d = np.minimum(d, 1.0 - d)
+            back = d < eps
+            idx = np.flatnonzero(active)[back]
+            times[idx] = n
+            active[idx] = False
+            if not active.any():
+                break
+        censored = int(active.sum())
+        returned = times[times > 0]
+        mean = float(returned.mean()) if len(returned) else float("inf")
+        return KacReport(
+            mean_return=mean,
+            target=target,
+            relative_error=abs(mean - target) / target,
+            n_samples=n_samples,
+            censored=censored,
+            ergodic=ergodic,
+            note="" if ergodic else "rational angle: system not ergodic",
+        )
 
 
 def mobius_ball_measure(eps: float) -> float:
@@ -451,58 +550,49 @@ def mobius_ball_measure(eps: float) -> float:
     return min(12.0 * sinh(eps / 2.0) ** 2, 1.0)
 
 
-def mobius_ball_caveat(x: UpperHalfPoint, eps: float) -> Optional[str]:
-    """Embedded-ball formula breaks near the elliptic points and the cusp."""
-    xf, yf = x.floats()
-    for ex, ey in (_ELLIPTIC_I, _ELLIPTIC_RHO):
-        d = hyp_distance(UpperHalfPoint(xf, yf), UpperHalfPoint(ex, ey))
-        if d < 2 * eps:
-            return f"center within 2*eps of elliptic point ({ex}, {ey})"
-    if yf > 1.0 / (2.0 * eps):
-        return "center in the cusp region (im > 1/(2 eps))"
-    return None
-
-
-def make_mobius(g: UnimodularMatrix) -> MMPSystem:
+class Mobius(System):
     """X = fundamental domain of the modular group, quotient hyperbolic
     distance, normalized hyperbolic measure (density (3/pi) y^-2); the map
     is z -> g z with orbits computed by matrix powers and reduced back to
-    the fundamental domain.  lambda = 4 (+ tolerance at small eps).
+    the fundamental domain.
+
+    g must be exact: float matrix powers drift from the true orbit within a
+    few dozen steps, and the visit times read off them would be wrong.
     """
-    exact = g.is_exact
 
-    def iterate(x, n):
-        return reduce_fundamental(g.power(n).act(x)).point
+    def __init__(self, g: UnimodularMatrix):
+        if not g.is_exact:
+            raise InvalidParameter(
+                "Moebius systems need an exact (rational) matrix; float "
+                "orbits cannot be certified"
+            )
+        self.g = g
+        self.description = (
+            f"Moebius action by {tuple(map(float, g.entries()))} on the modular surface"
+        )
 
-    def dist(x, y):
-        zx = reduce_fundamental(x).point
-        zy = reduce_fundamental(y).point
-        return quotient_distance(zx, zy).value
+    def iterate(self, x, n) -> UpperHalfPoint:
+        return reduce_fundamental(self.g.power(n).act(x)).point
 
-    def dist_lt(x, y, eps):
-        zx = reduce_fundamental(x).point
-        zy = reduce_fundamental(y).point
-        qd = quotient_distance(zx, zy)
-        if exact and zx.is_exact and zy.is_exact:
-            return _cosh_m1_lt(qd.cosh_minus_one, Fraction(eps))
-        return qd.value < float(eps)
+    def _quotient_distance(self, x, y) -> QuotientDistance:
+        return quotient_distance(
+            reduce_fundamental(x).point, reduce_fundamental(y).point
+        )
 
-    return MMPSystem(
-        name="mobius",
-        description=f"Moebius action by {tuple(map(float, g.entries()))} on the modular surface",
-        apply=lambda x: reduce_fundamental(g.act(x)).point,
-        iterate=iterate,
-        dist=dist,
-        dist_lt=dist_lt,
-        ball_measure=lambda x, eps: mobius_ball_measure(float(eps)),
-        doubling_lambda=4.0,
-        diameter=None,  # noncompact (cusp)
-        point_repr=lambda x: f"({x.re!r}, {x.im!r})",
-        point_float=lambda x: x.floats(),
-        certified=exact,
-        payload={"g": g},
-        ball_caveat=mobius_ball_caveat,
-    )
+    def dist(self, x, y) -> float:
+        return self._quotient_distance(x, y).value
+
+    def dist_lt(self, x, y, eps) -> bool:
+        return _cosh_m1_lt(self._quotient_distance(x, y).cosh_minus_one, Fraction(eps))
+
+    def ball_measure(self, x, eps) -> float:
+        return mobius_ball_measure(float(eps))
+
+    def point_repr(self, x) -> str:
+        return f"({x.re!r}, {x.im!r})"
+
+    def point_float(self, x) -> tuple[float, float]:
+        return x.floats()
 
 
 # ---------------------------------------------------------------------------
@@ -510,95 +600,25 @@ def make_mobius(g: UnimodularMatrix) -> MMPSystem:
 # ---------------------------------------------------------------------------
 
 
-def recommended_return_cap(system: MMPSystem, x0, epsilon: float) -> int:
-    mu = system.ball_measure(x0, float(epsilon) / 2.0)
-    if mu <= 0:
-        raise InvalidParameter("ball has measure zero at this radius")
-    return max(1000, ceil(2.0 / mu))
-
-
 def first_return(
-    system: MMPSystem, x0, epsilon: Scalar, cap: Optional[int] = None
+    system: System, x0, epsilon: Scalar, cap: Optional[int] = None
 ) -> int:
     """Least n >= 1 with d(T^n x0, x0) < eps.
 
     Guaranteed to exist with n <= mu(B(x0; eps/2))^-1 by recurrence
-    (pigeonhole); the default cap is twice that.
+    (pigeonhole).
     """
-    eps = _to_eps_fraction(epsilon)
-    if system.return_time_fn is not None:
-        return system.return_time_fn(x0, eps)
-    if cap is None:
-        cap = recommended_return_cap(system, x0, float(eps))
-    for n in range(1, cap + 1):
-        if system.dist_lt(system.iterate(x0, n), x0, eps):
-            return n
-    mu = system.ball_measure(x0, float(eps) / 2.0)
-    raise CapExceeded(
-        f"no return within {cap} steps (recurrence bound mu(B(x0; eps/2))^-1 "
-        f"= {1.0 / mu:.3g})",
-        cap=cap,
-        context={"system": system.name, "epsilon": float(eps)},
-    )
+    return system.first_return(x0, _to_eps_fraction(epsilon), cap)
 
 
 def prime_visit_times(
-    system: MMPSystem, x0, x, epsilon: Scalar, m: int, cap: int
+    system: System, x0, x, epsilon: Scalar, m: int, cap: int
 ) -> list[int]:
     """The m smallest primes p <= cap with d(T^p x0, x) < eps."""
     eps = _to_eps_fraction(epsilon)
     if m < 1:
         raise UsageError(f"need m >= 1, got {m}")
-
-    if system.name.startswith("shift") and eps <= 1:
-        q = system.payload["q"]
-        target = (x - x0) % q
-        found = primes_in_ap(q, target, cap)[:m]
-        if len(found) < m:
-            raise CapExceeded(
-                f"only {len(found)} prime visits up to {cap}", cap=cap
-            )
-        return found
-
-    if system.name == "rotation":
-        return _rotation_prime_visits(system, x0, x, eps, m, cap)
-
-    found = []
-    for seg in iter_prime_segments(2, cap + 1):
-        for p in map(int, seg.primes()):
-            if system.dist_lt(system.iterate(x0, p), x, eps):
-                found.append(p)
-                if len(found) == m:
-                    return found
-    raise CapExceeded(f"only {len(found)} prime visits up to {cap}", cap=cap)
-
-
-def _rotation_prime_visits(system, x0, x, eps: Fraction, m: int, cap: int):
-    """Float prescan over all primes <= cap with exact confirmation of every
-    candidate within the error margin; nothing outside the margin can pass."""
-    alpha = system.payload["alpha"]
-    af = float(alpha)
-    x0f = float(system.point_float(x0))
-    xf = float(system.point_float(x))
-    eps_f = float(eps)
-    x0q = _circle_point(x0)
-    xq = _circle_point(x)
-    a_exact = alpha.exact_value()
-
-    found = []
-    for seg in iter_prime_segments(2, cap + 1):
-        ps = seg.primes()
-        pos = np.mod(x0f + ps.astype(np.float64) * af, 1.0)
-        d = np.abs(pos - xf)
-        d = np.minimum(d, 1.0 - d)
-        margin = float(seg.hi) * 2.0 ** -50 + 1e-12
-        for p in map(int, ps[d < eps_f + margin]):
-            diff = (x0q + a_exact * p - xq).dist_to_nearest_int()
-            if diff < eps:
-                found.append(p)
-                if len(found) == m:
-                    return found
-    raise CapExceeded(f"only {len(found)} prime visits up to {cap}", cap=cap)
+    return system.prime_visits(x0, x, eps, m, cap)
 
 
 @dataclass(frozen=True)
@@ -649,7 +669,7 @@ def _first_m_primes(m: int) -> list[int]:
 
 
 def early_visit_search(
-    system: MMPSystem,
+    system: System,
     x0,
     epsilon: Scalar,
     m: int,
@@ -688,7 +708,7 @@ def early_visit_search(
 
 
 def _early_visit_once(
-    system: MMPSystem, x0, eps: Fraction, m: int, h: float, cap: Optional[int]
+    system: System, x0, eps: Fraction, m: int, h: float, cap: Optional[int]
 ) -> EarlyVisitCertificate:
     h_frac = Fraction(h)
     mu_quarter = system.ball_measure(x0, float(eps / (4 * h_frac)))
@@ -723,7 +743,6 @@ def _early_visit_once(
             mu_ball_quarter=mu_quarter,
             return_threshold=float(eps),
             degenerate=True,
-            certified=system.certified,
         )
 
     threshold = eps / (2 * h_frac)
@@ -781,12 +800,11 @@ def _early_visit_once(
         q_bound_ok=q_bound_ok,
         mu_ball_quarter=mu_quarter,
         return_threshold=float(threshold),
-        certified=system.certified,
     )
 
 
 def verify_certificate(
-    system: MMPSystem, cert: EarlyVisitCertificate, x0
+    system: System, cert: EarlyVisitCertificate, x0
 ) -> tuple[bool, dict]:
     """Recompute everything in the certificate from scratch."""
     eps = Fraction(cert.epsilon)
@@ -795,12 +813,11 @@ def verify_certificate(
         thr = Fraction(cert.return_threshold)
         if not system.dist_lt(system.iterate(x0, cert.q_return), x0, thr):
             problems.append("return time does not satisfy d(T^q x0, x0) < eps/2h")
-        for n in range(1, cert.q_return):
-            if system.return_time_fn is not None:
-                break  # exact fast path already certified minimality
-            if system.dist_lt(system.iterate(x0, n), x0, thr):
+        else:
+            # T^q returns, so the first return is some n <= q
+            n = system.first_return(x0, thr, cap=cert.q_return)
+            if n != cert.q_return:
                 problems.append(f"return time not minimal: n = {n} also returns")
-                break
     x_star = system.iterate(x0, cert.a_star)
     for p in cert.primes:
         if not is_prime(p):
@@ -831,7 +848,7 @@ class KacReport:
 
 
 def kac_empirical(
-    system: MMPSystem,
+    system: System,
     x0,
     epsilon: Scalar,
     n_samples: int,
@@ -839,60 +856,9 @@ def kac_empirical(
     seed: int = 0,
 ) -> KacReport:
     """Sample points of B(x0; eps), measure each one's first return to the
-    ball, compare the mean to mu(B)^-1 (the ergodic expectation).
-
-    Rotation sampling is uniform in the arc (float fast path; the statistic
-    needs no certification); the shift ball is a single point.
-    """
+    ball, compare the mean to mu(B)^-1 (the ergodic expectation)."""
     eps_f = float(epsilon)
     mu = system.ball_measure(x0, eps_f)
     if mu <= 0:
         raise InvalidParameter("ball has measure zero")
-    target = 1.0 / mu
-
-    if system.name.startswith("shift"):
-        q = system.payload["q"]
-        # ball is {x0}; the single sample returns in exactly q steps
-        return KacReport(
-            mean_return=float(q), target=target,
-            relative_error=abs(q - target) / target,
-            n_samples=1, censored=0, ergodic=True,
-            note="deterministic cycle",
-        )
-
-    if system.name != "rotation":
-        raise UsageError("empirical mean returns implemented for shift and rotation")
-
-    alpha = system.payload["alpha"]
-    ergodic = alpha.kind != "rational"
-    af = float(alpha)
-    x0f = float(system.point_float(x0))
-    rng = np.random.default_rng(seed)
-    samples = np.mod(x0f + rng.uniform(-eps_f, eps_f, size=n_samples), 1.0)
-
-    # step all samples together until each has returned to the arc
-    pos = samples.copy()
-    times = np.zeros(n_samples, dtype=np.int64)
-    active = np.ones(n_samples, dtype=bool)
-    for n in range(1, cap + 1):
-        pos[active] = np.mod(pos[active] + af, 1.0)
-        d = np.abs(pos[active] - x0f)
-        d = np.minimum(d, 1.0 - d)
-        back = d < eps_f
-        idx = np.flatnonzero(active)[back]
-        times[idx] = n
-        active[idx] = False
-        if not active.any():
-            break
-    censored = int(active.sum())
-    returned = times[times > 0]
-    mean = float(returned.mean()) if len(returned) else float("inf")
-    return KacReport(
-        mean_return=mean,
-        target=target,
-        relative_error=abs(mean - target) / target,
-        n_samples=n_samples,
-        censored=censored,
-        ergodic=ergodic,
-        note="" if ergodic else "rational angle: system not ergodic",
-    )
+    return system.kac(x0, eps_f, 1.0 / mu, n_samples, cap, seed)

@@ -34,6 +34,16 @@ def _floor_surd(P: int, D: int, Q: int) -> int:
     return -((P + s) // (-Q)) - 1
 
 
+def _surd_form(x: "QuadExt") -> tuple[int, int, int]:
+    """Integers (P, D, Q) with x = (P + sqrt(D))/Q, for irrational x: write
+    x = (A + B*sqrt(d))/den and fold the sign of B into P and Q."""
+    den = lcm(x.a.denominator, x.b.denominator)
+    A = x.a.numerator * (den // x.a.denominator)
+    B = x.b.numerator * (den // x.b.denominator)
+    D = B * B * x.d
+    return (A, D, den) if B > 0 else (-A, D, -den)
+
+
 class QuadExt:
     """Immutable a + b*sqrt(d), a and b rational, d squarefree (0 when b=0)."""
 
@@ -184,33 +194,24 @@ class QuadExt:
 
     def _float_scaled(self) -> float:
         """float(x) from the exact floor of 2^k x, with k chosen so that the
-        floor has at least 64 bits: x = (A + B*sqrt(d))/C, and
-        |x| = |A^2 - B^2 d| / (C |A - B*sqrt(d)|) bounds log2 |x| from below
+        floor has at least 64 bits: x = (P + sqrt(D))/Q, and
+        |x| = |P^2 - D| / (|Q| |P - sqrt(D)|) bounds log2 |x| from below
         without cancellation."""
-        den = lcm(self.a.denominator, self.b.denominator)
-        A = self.a.numerator * (den // self.a.denominator)
-        B = self.b.numerator * (den // self.b.denominator)
-        D = B * B * self.d
+        P, D, Q = _surd_form(self)
         k = max(
             0,
             68
-            + den.bit_length()
-            + max(abs(A), isqrt(D)).bit_length()
-            - abs(A * A - D).bit_length(),
+            + Q.bit_length()
+            + max(abs(P), isqrt(D)).bit_length()
+            - abs(P * P - D).bit_length(),
         )
-        P, Q = (A << k, den) if B > 0 else (-(A << k), -den)
-        return _floor_surd(P, D << (2 * k), Q) / (1 << k)
+        return _floor_surd(P << k, D << (2 * k), Q) / (1 << k)
 
     def floor(self) -> int:
+        """Exact floor, in integer arithmetic whatever the magnitude."""
         if self.b == 0:
             return self.a.numerator // self.a.denominator
-        n = int(float(self))
-        # fix up float error exactly: want n <= x < n + 1
-        while self._cmp(n) < 0:
-            n -= 1
-        while self._cmp(n + 1) >= 0:
-            n += 1
-        return n
+        return _floor_surd(*_surd_form(self))
 
     def frac(self) -> "QuadExt":
         """x - floor(x), in [0, 1)."""

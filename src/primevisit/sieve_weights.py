@@ -461,67 +461,28 @@ def cutoff_value(F: CutoffF, t: Sequence[float], n_grid: int = 1024) -> float:
     return float(np.trapezoid(conv, dx=dx))
 
 
-def singular_I(F: CutoffF, method: str = "auto") -> float:
+def singular_I(F: CutoffF) -> float:
     """I(dF) = int (mixed derivative)^2.  Tensor: prod int (f_i')^2 in closed
     form; psi family by the reduced grid quadrature."""
     if F.family == "tensor":
-        if method in ("auto", "closed"):
-            out = 1.0
-            for f in F.fs:
-                out *= f.integral_deriv_sq()
-            return out
-        if method == "quad":
-            from scipy.integrate import quad
-
-            out = 1.0
-            for f in F.fs:
-                pts = [t for t, _ in f.nodes]
-                segs = f.deriv_segments()
-
-                def fp2(x, segs=segs):
-                    for t0, t1, s in segs:
-                        if t0 <= x <= t1:
-                            return s * s
-                    return 0.0
-
-                val, _ = quad(fp2, 0.0, f.support, points=pts, limit=200)
-                out *= val
-            return out
-        raise UsageError(f"unknown method {method!r} for tensor family")
+        out = 1.0
+        for f in F.fs:
+            out *= f.integral_deriv_sq()
+        return out
     I, _ = _grid_I_J_refined(F)
     return I
 
 
-def singular_J(F: CutoffF, i: int, method: str = "auto") -> float:
+def singular_J(F: CutoffF, i: int) -> float:
     """J_i(dF) = int (int dF dt_i)^2 over the remaining coordinates."""
     if not 0 <= i < F.k:
         raise UsageError(f"coordinate {i} outside range(k={F.k})")
     if F.family == "tensor":
-        if method in ("auto", "closed"):
-            out = F.fs[i].integral_deriv() ** 2
-            for j, f in enumerate(F.fs):
-                if j != i:
-                    out *= f.integral_deriv_sq()
-            return out
-        if method == "quad":
-            from scipy.integrate import quad
-
-            f = F.fs[i]
-            segs = f.deriv_segments()
-
-            def fp(x, segs=segs):
-                for t0, t1, s in segs:
-                    if t0 <= x <= t1:
-                        return s
-                return 0.0
-
-            val, _ = quad(fp, 0.0, f.support, points=[t for t, _ in f.nodes], limit=200)
-            out = val * val
-            for j, g in enumerate(F.fs):
-                if j != i:
-                    out *= singular_I(CutoffF.tensor([g]), method="quad")
-            return out
-        raise UsageError(f"unknown method {method!r} for tensor family")
+        out = F.fs[i].integral_deriv() ** 2
+        for j, f in enumerate(F.fs):
+            if j != i:
+                out *= f.integral_deriv_sq()
+        return out
     _, J = _grid_I_J_refined(F)  # symmetric in i
     return J
 

@@ -147,6 +147,14 @@ def test_quotient_list_return_time():
     rep = return_time(spec, Fraction(1, 500))
     rb = return_time_bruteforce(spec, Fraction(1, 500), 600)
     assert rep.tau == rb.tau
+    # the golden angle as a 41-term list: the first enclosure of
+    # ||6765 alpha||, from 8 terms, is far too wide, so its depth must double
+    golden_list = RealNumberSpec.from_quotients([0] + [1] * 40)
+    rep = return_time(golden_list, Fraction(1, 10**4))
+    exact = return_time(GOLDEN, Fraction(1, 10**4))
+    assert rep.tau == exact.tau == 6765
+    assert 0 < rep.achieved_error < 1e-8
+    assert abs(rep.achieved - exact.achieved) <= rep.achieved_error
 
 
 def test_type_estimates():

@@ -1,22 +1,28 @@
 from fractions import Fraction
 from math import sinh
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from primevisit.errors import InvalidParameter, SearchFailed, UsageError
+from primevisit.errors import CapExceeded, InvalidParameter, SearchFailed, UsageError
+from primevisit.exactreal import QuadExt
 from primevisit.contfrac import RealNumberSpec
 from primevisit.clusters import pm
 from primevisit.dynamics import (
+    Mobius,
+    Rotation,
+    Shift,
+    System,
     UnimodularMatrix,
     UpperHalfPoint,
     early_visit_search,
     first_return,
     hyp_distance,
     kac_empirical,
-    make_mobius,
-    make_right_shift,
-    make_rotation,
     mobius_ball_measure,
     prime_visit_times,
     quotient_distance,
@@ -93,56 +99,54 @@ def test_quotient_distance_edge_identification():
 
 
 def test_shift_isometry():
-    sh = make_right_shift(12)
+    sh = Shift(12)
     for x in range(12):
         for y in range(12):
-            assert sh.dist(sh.apply(x), sh.apply(y)) == sh.dist(x, y)
+            assert sh.dist(sh.iterate(x, 1), sh.iterate(y, 1)) == sh.dist(x, y)
 
 
 def test_first_return_cap_exceeded():
-    from primevisit.errors import CapExceeded
-
     # hyperbolic non-integer matrix: the orbit of i wanders without coming
     # back within 1e-6 in the first few dozen steps
-    mob = make_mobius(UnimodularMatrix.exact(Fraction(3, 2), Fraction(1, 2), 1, 1))
+    mob = Mobius(UnimodularMatrix.exact(Fraction(3, 2), Fraction(1, 2), 1, 1))
     zi = UpperHalfPoint(Fraction(0), Fraction(1))
     with pytest.raises(CapExceeded):
         first_return(mob, zi, Fraction(1, 10**6), cap=40)
 
 
 def test_shift_system_basics():
-    sh = make_right_shift(4)
+    sh = Shift(4)
     assert sh.iterate(0, 3) == 3
     assert sh.dist(0, 3) == 1.0
     assert sh.ball_measure(0, 0.5) == 0.25
     assert sh.ball_measure(0, 1.5) == 1.0
-    assert first_return(make_right_shift(7), 0, 0.5) == 7
-    assert first_return(make_right_shift(7), 0, 1.5) == 1
+    assert first_return(Shift(7), 0, 0.5) == 7
+    assert first_return(Shift(7), 0, 1.5) == 1
 
 
 def test_rotation_system_basics():
-    rot = make_rotation(GOLDEN)
+    rot = Rotation(GOLDEN)
     assert rot.ball_measure(0, 0.05) == pytest.approx(0.1)
     assert first_return(rot, 0, Fraction(1, 10)) == 5
     with pytest.raises(InvalidParameter):
-        make_rotation(RealNumberSpec.rational(3, 2))
+        Rotation(RealNumberSpec.rational(3, 2))
 
 
 def test_rotation_isometry_and_measure_preservation():
-    rot = make_rotation(SQRT2M1)
+    rot = Rotation(SQRT2M1)
     rng = np.random.default_rng(23)
     for _ in range(1000):
         x = Fraction(int(rng.integers(0, 997)), 997)
         y = Fraction(int(rng.integers(0, 997)), 997)
         d0 = rot.dist(x, y)
-        d1 = rot.dist(rot.apply(x), rot.apply(y))
+        d1 = rot.dist(rot.iterate(x, 1), rot.iterate(y, 1))
         assert abs(d0 - d1) <= 1e-15  # exact arithmetic underneath
         # preimage of a ball has the same measure
-        assert rot.ball_measure(x, 0.03) == rot.ball_measure(rot.apply(x), 0.03)
+        assert rot.ball_measure(x, 0.03) == rot.ball_measure(rot.iterate(x, 1), 0.03)
 
 
 def test_rotation_doubling_exact():
-    rot = make_rotation(GOLDEN)
+    rot = Rotation(GOLDEN)
     for eps in (0.01, 0.05, 0.12):
         assert rot.ball_measure(0, 2 * eps) == pytest.approx(
             2 * rot.ball_measure(0, eps)
@@ -151,7 +155,7 @@ def test_rotation_doubling_exact():
 
 def test_mobius_system_basics():
     # integer translation: T(i) reduces back to i
-    mob = make_mobius(UnimodularMatrix.exact(1, 1, 0, 1))
+    mob = Mobius(UnimodularMatrix.exact(1, 1, 0, 1))
     zi = UpperHalfPoint(Fraction(0), Fraction(1))
     for p in (2, 3, 7):
         assert mob.dist(mob.iterate(zi, p), zi) == pytest.approx(0.0, abs=1e-12)
@@ -170,7 +174,7 @@ def test_mobius_isometry_on_cover_and_quotient():
         )
     # integer matrix: quotient distance preserved (inside the exact region)
     gamma = UnimodularMatrix.exact(2, 1, 1, 1)
-    mob = make_mobius(gamma)
+    mob = Mobius(gamma)
     for _ in range(100):
         z = UpperHalfPoint(Fraction(int(rng.integers(-40, 40)), 100),
                            Fraction(int(rng.integers(110, 200)), 100))
@@ -214,23 +218,23 @@ def test_matrix_power_by_squaring():
 
 
 def test_prime_visit_shift():
-    sh = make_right_shift(4)
+    sh = Shift(4)
     assert prime_visit_times(sh, 0, 1, 0.5, 3, 10**4) == [5, 13, 17]
 
 
 def test_prime_visit_rotation():
-    rot = make_rotation(SQRT2M1)
+    rot = Rotation(SQRT2M1)
     assert prime_visit_times(rot, 0, Fraction(1, 2), Fraction(1, 20), 1, 100) == [23]
 
 
 def test_prime_visit_whole_space():
-    rot = make_rotation(GOLDEN)
+    rot = Rotation(GOLDEN)
     assert prime_visit_times(rot, 0, Fraction(1, 4), Fraction(3, 5), 3, 100) == [2, 3, 5]
 
 
 def test_shift_visits_match_pm():
     for q in (10, 21, 50):
-        sh = make_right_shift(q)
+        sh = Shift(q)
         for a in range(1, q):
             from math import gcd
 
@@ -242,7 +246,7 @@ def test_shift_visits_match_pm():
 
 
 def test_early_visit_shift_example():
-    sh = make_right_shift(10)
+    sh = Shift(10)
     cert = early_visit_search(sh, 0, 0.5, 2, 270)
     assert cert.q_return == 10
     assert cert.a_star == 3
@@ -254,7 +258,7 @@ def test_early_visit_shift_example():
 
 
 def test_early_visit_rotation_golden():
-    rot = make_rotation(GOLDEN)
+    rot = Rotation(GOLDEN)
     cert = early_visit_search(rot, 0, Fraction(1, 10), 2, 270)
     assert cert.q_return == 2584  # Fibonacci
     assert all(d < 0.1 for d in cert.distances)
@@ -264,14 +268,14 @@ def test_early_visit_rotation_golden():
 
 
 def test_early_visit_degenerate_ball():
-    rot = make_rotation(GOLDEN)
+    rot = Rotation(GOLDEN)
     cert = early_visit_search(rot, 0, Fraction(3, 5), 2, 270)
     assert cert.degenerate and cert.primes == (2, 3) and cert.q_return == 1
 
 
 def test_early_visit_mobius_shear():
     g = UnimodularMatrix.exact(1, Fraction(3, 10), 0, 1)
-    mob = make_mobius(g)
+    mob = Mobius(g)
     x0 = UpperHalfPoint(Fraction(0), Fraction(1))
     cert = early_visit_search(mob, x0, Fraction(2, 10), 2, 270)
     assert cert.q_return == 10
@@ -282,23 +286,22 @@ def test_early_visit_mobius_shear():
 
 
 def test_float_mobius_matches_exact_short_orbits():
+    # float matrices are refused: their orbits drift (by 0.33 at n = 19 for
+    # g = (2, 1, 1, 1)) and the visit times read off them would be wrong
     g_exact = UnimodularMatrix.exact(1, Fraction(3, 10), 0, 1)
-    g_float = UnimodularMatrix(1.0, 0.3, 0.0, 1.0)
-    me, mf = make_mobius(g_exact), make_mobius(g_float)
+    with pytest.raises(InvalidParameter):
+        Mobius(UnimodularMatrix(1.0, 0.3, 0.0, 1.0))
+    me = Mobius(g_exact)
     zi_e = UpperHalfPoint(Fraction(0), Fraction(1))
-    zi_f = UpperHalfPoint(0.0, 1.0)
-    assert me.certified and not mf.certified
     pe = prime_visit_times(me, zi_e, me.iterate(zi_e, 3), Fraction(1, 5), 2, 1000)
-    pf = prime_visit_times(mf, zi_f, mf.iterate(zi_f, 3), Fraction(1, 5), 2, 1000)
-    assert pe == pf == [3, 7]
-    assert first_return(mf, zi_f, Fraction(1, 1000), cap=100) == 10
+    assert pe == [3, 7]
+    assert first_return(me, zi_e, Fraction(1, 1000), cap=100) == 10
 
 
 def test_certificate_serializes_and_tamper_fails():
-    import dataclasses
     import json
 
-    sh = make_right_shift(10)
+    sh = Shift(10)
     cert = early_visit_search(sh, 0, 0.5, 2, 270)
     doc = json.loads(cert.to_json())
     assert doc["tool_version"] and doc["schema_version"] == 1
@@ -312,7 +315,7 @@ def test_certificate_serializes_and_tamper_fails():
 
 
 def test_early_visit_needs_h_for_larger_m():
-    rot = make_rotation(GOLDEN)
+    rot = Rotation(GOLDEN)
     with pytest.raises(UsageError):
         early_visit_search(rot, 0, Fraction(1, 10), 3)
 
@@ -320,23 +323,127 @@ def test_early_visit_needs_h_for_larger_m():
 def test_early_visit_honest_failure():
     # h = 1/2 cannot ever work: p_2(q, a) >= q + 2 > q h even after the
     # one allowed doubling of h
-    rot = make_rotation(GOLDEN)
+    rot = Rotation(GOLDEN)
     with pytest.raises(SearchFailed):
         early_visit_search(rot, 0, Fraction(1, 10), 2, h=0.5)
 
 
 def test_kac_examples():
-    rep = kac_empirical(make_right_shift(7), 0, 0.5, 1, 100)
+    rep = kac_empirical(Shift(7), 0, 0.5, 1, 100)
     assert rep.mean_return == 7.0 and rep.relative_error == 0.0
 
     rep = kac_empirical(
-        make_rotation(SQRT2M1), 0, 0.05, n_samples=10**4, cap=10**4, seed=42
+        Rotation(SQRT2M1), 0, 0.05, n_samples=10**4, cap=10**4, seed=42
     )
     assert rep.ergodic and rep.censored == 0
     assert rep.relative_error < 0.10
 
     rep = kac_empirical(
-        make_rotation(RealNumberSpec.rational(1, 3)), 0, 0.01, 100, 100, seed=1
+        Rotation(RealNumberSpec.rational(1, 3)), 0, 0.01, 100, 100, seed=1
     )
     assert not rep.ergodic
     assert rep.mean_return == 3.0  # period-3 cycle, not mu(B)^-1
+
+
+# --- fast paths against the generic scans of the base class ---------------------
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CapExceeded:
+        return "cap exceeded"
+
+
+_EPS_SHIFT = st.one_of(
+    st.just(Fraction(1)),
+    st.fractions(min_value=Fraction(1, 100), max_value=3, max_denominator=100),
+).filter(lambda e: e > 0)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    q=st.integers(2, 40),
+    x0=st.integers(-50, 50),
+    x=st.integers(-50, 50),
+    eps=_EPS_SHIFT,
+    m=st.integers(1, 3),
+    cap=st.integers(2, 3000),
+)
+def test_shift_fast_paths_match_generic_scans(q, x0, x, eps, m, cap):
+    sh = Shift(q)
+    assert sh.first_return(x0, eps) == System.first_return(sh, x0, eps)
+    assert _outcome(sh.prime_visits, x0, x, eps, m, cap) == _outcome(
+        System.prime_visits, sh, x0, x, eps, m, cap
+    )
+
+
+@st.composite
+def _angles(draw):
+    """Quadratic angles a + b*sqrt(d) mod 1, and now and then a rational."""
+    if draw(st.integers(0, 4)) == 0:
+        den = draw(st.integers(2, 60))
+        return RealNumberSpec.rational(draw(st.integers(1, den - 1)), den)
+    d = draw(st.sampled_from([2, 3, 5, 6, 7, 10, 13, 19, 2026]))
+    a = draw(st.fractions(min_value=-5, max_value=5, max_denominator=50))
+    b = draw(st.fractions(min_value=-5, max_value=5, max_denominator=50).filter(bool))
+    alpha = QuadExt(a, b, d).frac()
+    return RealNumberSpec.quadratic(alpha.a, alpha.b, alpha.d)
+
+
+_POINTS = st.fractions(min_value=-2, max_value=2, max_denominator=200)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    alpha=_angles(),
+    x0=_POINTS,
+    x=_POINTS,
+    eps=st.fractions(min_value=Fraction(1, 200), max_value=Fraction(3, 4),
+                     max_denominator=400),
+    m=st.integers(1, 3),
+    cap=st.integers(2, 3000),
+)
+# every prime but 3 lands exactly on the edge of the ball, which is open
+@example(alpha=RealNumberSpec.rational(1, 3), x0=Fraction(0), x=Fraction(0),
+         eps=Fraction(1, 3), m=2, cap=100)
+def test_rotation_fast_paths_match_generic_scans(alpha, x0, x, eps, m, cap):
+    rot = Rotation(alpha)
+    if eps < Fraction(1, 2):  # return_time's domain
+        assert rot.first_return(x0, eps) == System.first_return(rot, x0, eps)
+    assert _outcome(rot.prime_visits, x0, x, eps, m, cap) == _outcome(
+        System.prime_visits, rot, x0, x, eps, m, cap
+    )
+
+
+# --- tampered return times -------------------------------------------------------
+
+
+def _certificates():
+    zi = UpperHalfPoint(Fraction(0), Fraction(1))
+    shear = Mobius(UnimodularMatrix.exact(1, Fraction(3, 10), 0, 1))
+    rot = Rotation(GOLDEN)
+    return [
+        (Shift(10), 0, early_visit_search(Shift(10), 0, 0.5, 2, 270)),
+        (rot, 0, early_visit_search(rot, 0, Fraction(1, 10), 2, 270)),
+        (shear, zi, early_visit_search(shear, zi, Fraction(2, 10), 2, 270)),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["shift", "rotation", "mobius"])
+def test_tampered_return_time_fails_verification(index):
+    system, x0, cert = _certificates()[index]
+    assert verify_certificate(system, cert, x0)[0]
+    q = cert.q_return
+    for tampered in (q - 1, q + 1):
+        ok, det = verify_certificate(
+            system, dataclasses.replace(cert, q_return=tampered), x0
+        )
+        assert not ok
+        assert "return time does not satisfy d(T^q x0, x0) < eps/2h" in det["problems"]
+    # a later return is not the first one: 2q for the shift and the shear,
+    # the next Fibonacci number after 2584 for the golden rotation
+    later = 4181 if index == 1 else 2 * q
+    ok, det = verify_certificate(system, dataclasses.replace(cert, q_return=later), x0)
+    assert not ok
+    assert f"return time not minimal: n = {q} also returns" in det["problems"]

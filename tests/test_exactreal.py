@@ -159,3 +159,40 @@ def test_float_near_cancellation_vs_mpmath(d, a, b, n, scale):
         x = (alpha * n - p) * scale
         want = _mp_value(x)
         assert abs(float(x) - want) <= 1e-12 * abs(want)
+
+
+def test_floor_of_huge_surd_is_exact():
+    # the floor is integer arithmetic on (P + sqrt(D))/Q, whatever |x| is
+    assert QuadExt(0, 10**30, 5).floor() == isqrt(5 * 10**60)
+    assert QuadExt(0, -(10**30), 5).floor() == -isqrt(5 * 10**60) - 1
+    # 1/3 + (10^500/7) sqrt(2) = (7 + sqrt(18 * 10^1000)) / 21
+    assert QuadExt(Fraction(1, 3), Fraction(10**500, 7), 2).floor() == (
+        7 + isqrt(18 * 10**1000)
+    ) // 21
+
+
+@settings(deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 5, 6, 7, 10, 13, 19, 23, 2026]),
+    a=st.fractions(min_value=-10, max_value=10, max_denominator=1000),
+    b=st.fractions(min_value=-10, max_value=10, max_denominator=1000).filter(bool),
+    n=st.integers(1, 10**30),
+    k=st.integers(-(10**30), 10**30),
+)
+def test_floor_frac_sign_vs_mpmath(d, a, b, n, k):
+    """x = n*alpha - nint(n*alpha) + k lies within 1/2 of the integer k, and
+    its two terms reach 10^31 in size."""
+    import mpmath
+
+    alpha = QuadExt(a, b, d)
+    assume(not alpha.is_rational)
+    with mpmath.workdps(150):
+        p = int(mpmath.nint(_mp_value(alpha) * n))
+        for x in (alpha * n - p, alpha * n - p + k):
+            want = _mp_value(x)
+            fl = int(mpmath.floor(want))
+            assert x.floor() == fl
+            assert x.sign() == int(mpmath.sign(want))
+            f = x.frac()
+            assert QuadExt(0) <= f < QuadExt(1)
+            assert abs(_mp_value(f) - (want - fl)) < mpmath.mpf(10) ** -100

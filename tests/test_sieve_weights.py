@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import nquad, quad
 
 from primevisit import sieve_weights
+from primevisit.acceptance import singular_I_quad, singular_J_quad
 from primevisit.errors import BudgetExceeded, InvalidParameter, UsageError
 from primevisit.primes import factorize, iter_prime_segments
 from primevisit.sieve_weights import (
@@ -161,10 +162,8 @@ def test_singular_tensor_closed_forms():
     assert singular_I(mixed) > 0
     assert all(singular_J(mixed, i) >= 0 for i in range(2))
     # quadrature route agrees
-    assert singular_I(mixed, method="quad") == pytest.approx(singular_I(mixed), rel=1e-9)
-    assert singular_J(mixed, 1, method="quad") == pytest.approx(
-        singular_J(mixed, 1), rel=1e-9
-    )
+    assert singular_I_quad(mixed) == pytest.approx(singular_I(mixed), rel=1e-9)
+    assert singular_J_quad(mixed, 1) == pytest.approx(singular_J(mixed, 1), rel=1e-9)
 
 
 def test_singular_psi_vs_nquad():
