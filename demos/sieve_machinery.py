@@ -14,17 +14,17 @@ Monte-Carlo cross-check (the psi-product family).
 """
 
 from primevisit import (
-    CutoffF,
+    PiecewiseLinear,
+    PsiCutoff,
     SieveParams,
+    TensorCutoff,
     detection_ratio,
     s_sum_bruteforce,
     select_k_rho,
-    singular_I,
-    singular_J,
     small_primorial_coprime,
     weight,
 )
-from primevisit.sieve_weights import singular_mc
+from primevisit.acceptance import singular_mc
 
 q, offsets = 10007, (0, 2, 6)
 print(f"== setup for q = {q}, offsets {offsets} ==")
@@ -32,13 +32,11 @@ w, Wq = small_primorial_coprime(q, w_override=2)
 # theta = 1 is the conditional level of distribution; it buys room for a
 # first-coordinate support wide enough (q^0.3 ~ 16) that divisors beyond the
 # W-trick bound actually enter the divisor sums
-params = SieveParams.build(q, offsets, m=2, theta=1.0, eps_k=0.0, w_override=2)
+params = SieveParams.build(q, offsets, theta=1.0, eps_k=0.0, w_override=2)
 print(f"small-prime bound w = {params.w}, W_q = {params.Wq}, b0 = {params.b0}")
 print(f"(weights vanish off the class b0 mod W_q, killing small-prime losses)")
 
-from primevisit import PiecewiseLinear
-
-F = CutoffF.tensor(
+F = TensorCutoff(
     [PiecewiseLinear.ramp(0.3), PiecewiseLinear.ramp(0.1), PiecewiseLinear.ramp(0.1)]
 )
 print()
@@ -57,21 +55,21 @@ print(f"implied class count >= S/(k max w) = {rep.census_lower_bound:.3f}")
 
 print()
 print("== singular integrals: what the cutoff can detect ==")
-F2 = CutoffF.ramp_tensor(2, 0.125)
-print(f"ramp tensor k=2, s=1/8: I = {singular_I(F2):.1f}, "
-      f"J_i = {singular_J(F2, 0):.1f}, ratio = {detection_ratio(F2, theta=0.5).ratio}")
+F2 = TensorCutoff.ramp(2, 0.125)
+print(f"ramp tensor k=2, s=1/8: I = {F2.singular_I():.1f}, "
+      f"J_i = {F2.singular_J(0):.1f}, ratio = {detection_ratio(F2, theta=0.5).ratio}")
 print("(a pair needs ratio > 1; this cutoff only reaches 1/4)")
 
 print()
 print("psi-product family, theta = 1:")
 for k in (5, 10, 20, 40):
-    r = detection_ratio(CutoffF.psi_product(k, theta=1.0))
+    r = detection_ratio(PsiCutoff(k, theta=1.0))
     print(f"  k = {k:>2}: ratio = {r.ratio:.4f}")
 print("(the ratio grows like (theta/2) log k: larger tuples detect more primes)")
 
-Fk = CutoffF.psi_product(3, theta=1.0)
+Fk = PsiCutoff(3, theta=1.0)
 mc = singular_mc(Fk, n_samples=10**6, seed=1)
-print(f"cross-check k=3: I grid {singular_I(Fk):.6f} vs MC {mc['I']:.6f} "
+print(f"cross-check k=3: I grid {Fk.singular_I():.6f} vs MC {mc['I']:.6f} "
       f"+/- {mc['I_se']:.6f}")
 
 print()

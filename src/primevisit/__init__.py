@@ -18,17 +18,16 @@ from .clusters import (
 from .sieve_weights import (
     CutoffF,
     PiecewiseLinear,
+    PsiCutoff,
     SieveParams,
     SSumReport,
+    TensorCutoff,
     choose_b0,
-    cutoff_value,
     detection_ratio,
     discrepancy_reduced,
     lambda_f,
     s_sum_bruteforce,
     select_k_rho,
-    singular_I,
-    singular_J,
     small_primorial_coprime,
     weight,
 )

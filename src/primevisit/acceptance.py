@@ -42,16 +42,14 @@ from .dynamics import (
 )
 from .primes import divisor_count, factorize
 from .sieve_weights import (
-    CutoffF,
     PiecewiseLinear,
+    PsiCutoff,
     SieveParams,
+    TensorCutoff,
     detection_ratio,
     discrepancy_reduced,
     s_sum_bruteforce,
     select_k_rho,
-    singular_I,
-    singular_J,
-    singular_mc,
     weight,
 )
 
@@ -186,7 +184,7 @@ def c05_kac():
 # --- criterion 6: sieve-weight oracle equivalence ----------------------------
 
 
-def _weight_2kfold(a: int, q: int, F: CutoffF, offsets) -> float:
+def _weight_2kfold(a: int, q: int, F: TensorCutoff, offsets) -> float:
     """Independent 2k-fold divisor-sum expansion of w_a (b0 indicator not
     included; caller restricts to the b0 class)."""
     logq = log(q)
@@ -213,8 +211,8 @@ def c06_weight_oracle():
     """q=101, tuple (0,2), ramp tensor: product-of-lambda weights equal the
     2k-fold expansion to 1e-12 relative; S-sum recombination exact."""
     q, offsets = 101, (0, 2)
-    params = SieveParams.build(q, offsets, m=2, theta=0.5, eps_k=0.0, w_override=3)
-    F = CutoffF.ramp_tensor(2, 0.125)
+    params = SieveParams.build(q, offsets, theta=0.5, eps_k=0.0, w_override=3)
+    F = TensorCutoff.ramp(2, 0.125)
     checked = 0
     for a in range(1, q):
         if gcd(a, q) != 1:
@@ -260,16 +258,16 @@ def _quad_deriv(f: PiecewiseLinear, square: bool) -> float:
     return val
 
 
-def singular_I_quad(F: CutoffF) -> float:
-    """Tensor-family I(dF) by quadrature: the oracle for `singular_I`."""
+def singular_I_quad(F: TensorCutoff) -> float:
+    """Tensor-family I(dF) by quadrature: the oracle for the closed form."""
     out = 1.0
     for f in F.fs:
         out *= _quad_deriv(f, square=True)
     return out
 
 
-def singular_J_quad(F: CutoffF, i: int) -> float:
-    """Tensor-family J_i(dF) by quadrature: the oracle for `singular_J`."""
+def singular_J_quad(F: TensorCutoff, i: int) -> float:
+    """Tensor-family J_i(dF) by quadrature: the oracle for the closed form."""
     out = _quad_deriv(F.fs[i], square=False) ** 2
     for j, g in enumerate(F.fs):
         if j != i:
@@ -277,11 +275,53 @@ def singular_J_quad(F: CutoffF, i: int) -> float:
     return out
 
 
+def singular_mc(
+    F: PsiCutoff, n_samples: int = 10**6, seed: int = 0, chunk: int = 1 << 20
+) -> dict:
+    """Psi-family I and J_1 by Monte-Carlo, with standard errors: the
+    oracle for the grid quadrature of `PsiCutoff`."""
+    R = F.simplex_cap
+    k = F.k
+    rng = np.random.default_rng(seed)
+
+    def simplex_uniform(n, dim):
+        e = rng.exponential(size=(n, dim + 1))
+        return R * e[:, :dim] / e.sum(axis=1, keepdims=True)
+
+    def mc(dim, integrand):
+        total = 0.0
+        total2 = 0.0
+        done = 0
+        vol = R**dim
+        for j in range(2, dim + 1):
+            vol /= j
+        while done < n_samples:
+            n = min(chunk, n_samples - done)
+            u = simplex_uniform(n, dim)
+            vals = integrand(u)
+            total += float(vals.sum())
+            total2 += float((vals * vals).sum())
+            done += n
+        mean = total / n_samples
+        var = max(total2 / n_samples - mean * mean, 0.0)
+        se = vol * (var / n_samples) ** 0.5
+        return vol * mean, se
+
+    I_est, I_se = mc(k, lambda u: np.prod(F.psi(u), axis=1) ** 2)
+
+    def j_integrand(u):
+        base = np.prod(F.psi(u), axis=1) ** 2
+        return base * F.Psi(R - u.sum(axis=1)) ** 2
+
+    J_est, J_se = mc(k - 1, j_integrand)
+    return {"I": I_est, "I_se": I_se, "J": J_est, "J_se": J_se}
+
+
 def c07_singular_integrals():
     """Tensor closed forms vs quadrature at 1e-9; psi-family grid values vs
     10^7-sample Monte-Carlo within 3 standard errors; ratio(k=20) > ratio(k=5)."""
-    F = CutoffF.ramp_tensor(2, 0.125)
-    closed = (singular_I(F), singular_J(F, 0), singular_J(F, 1))
+    F = TensorCutoff.ramp(2, 0.125)
+    closed = (F.singular_I(), F.singular_J(0), F.singular_J(1))
     quad = (singular_I_quad(F), singular_J_quad(F, 0), singular_J_quad(F, 1))
     if not (abs(closed[0] - 64.0) < 1e-9 and abs(closed[1] - 8.0) < 1e-9):
         return False, f"closed forms off: I={closed[0]}, J={closed[1]}", 600.0
@@ -293,8 +333,8 @@ def c07_singular_integrals():
 
     sigmas = []
     for k, eps_k in ((2, 0.1), (3, None)):
-        Fk = CutoffF.psi_product(k, theta=1.0, eps_k=eps_k)
-        I_grid, J_grid = singular_I(Fk), singular_J(Fk, 0)
+        Fk = PsiCutoff(k, theta=1.0, eps_k=eps_k)
+        I_grid, J_grid = Fk.singular_I(), Fk.singular_J(0)
         mc = singular_mc(Fk, n_samples=10**7, seed=_SEED + k)
         dev_I = abs(I_grid - mc["I"]) / mc["I_se"]
         dev_J = abs(J_grid - mc["J"]) / mc["J_se"]
@@ -304,8 +344,8 @@ def c07_singular_integrals():
                 f"psi k={k}: grid vs MC deviation {dev_I:.2f} / {dev_J:.2f} sigma"
             ), 600.0
 
-    r5 = detection_ratio(CutoffF.psi_product(5, theta=1.0)).ratio
-    r20 = detection_ratio(CutoffF.psi_product(20, theta=1.0)).ratio
+    r5 = detection_ratio(PsiCutoff(5, theta=1.0)).ratio
+    r20 = detection_ratio(PsiCutoff(20, theta=1.0)).ratio
     if not r20 > r5:
         return False, f"ratio(k=20) = {r20:.4f} <= ratio(k=5) = {r5:.4f}", 600.0
     dev_str = ", ".join(f"k={k}: {a:.2f}/{b:.2f} sigma" for k, a, b in sigmas)

@@ -10,8 +10,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from . import __version__
@@ -51,12 +52,13 @@ from .dynamics import (
 )
 from .sieve_weights import (
     CutoffF,
+    PsiCutoff,
     SieveParams,
+    TensorCutoff,
     detection_ratio,
     discrepancy_reduced,
     s_sum_bruteforce,
     select_k_rho,
-    singular_J,
 )
 
 SCHEMA_VERSION = 1
@@ -74,7 +76,6 @@ class RunConfig:
     fmt: str = "json"
     seed: int = 0
     work_cap: int = 10**9
-    params: dict = field(default_factory=dict)
 
 
 def _fmt_value(v) -> str:
@@ -143,8 +144,8 @@ def _build_system(args):
 
 def _build_cutoff(args) -> CutoffF:
     if args.family == "tensor":
-        return CutoffF.ramp_tensor(args.k, args.support)
-    return CutoffF.psi_product(args.k, theta=args.theta, eps_k=args.eps_k)
+        return TensorCutoff.ramp(args.k, args.support)
+    return PsiCutoff(args.k, theta=args.theta, eps_k=args.eps_k)
 
 
 def _offsets(text: str) -> tuple[int, ...]:
@@ -200,13 +201,10 @@ def _cmd_budget_table(args, config):
 
 def _cmd_weights(args, config):
     F = _build_cutoff(args)
-    report = detection_ratio(
-        F, theta=args.theta if args.family == "tensor" else None,
-        C2=args.C2, m=args.m,
-    )
+    report = detection_ratio(F, theta=args.theta, C2=args.C2, m=args.m)
     fields = {
         "family": F.family, "k": F.k, "I": report.I, "J_sum": report.J_sum,
-        "J": [singular_J(F, i) for i in range(F.k)],
+        "J": [F.singular_J(i) for i in range(F.k)],
         "ratio": report.ratio, "bound": report.bound,
         "exceeds_bound": report.exceeds_bound, "detects_m": report.detects_m,
     }
@@ -221,10 +219,10 @@ def _cmd_weights(args, config):
 def _cmd_ssum(args, config):
     offsets = _offsets(args.tuple)
     params = SieveParams.build(
-        args.q, offsets, m=args.m, theta=args.theta, eps_k=args.eps_k,
+        args.q, offsets, theta=args.theta, eps_k=args.eps_k,
         w_override=args.w_override,
     )
-    F = CutoffF.ramp_tensor(len(offsets), args.support)
+    F = TensorCutoff.ramp(len(offsets), args.support)
     rep = s_sum_bruteforce(
         args.q, args.m, offsets, params, F, work_cap=config.work_cap
     )
@@ -342,7 +340,9 @@ def _cmd_verify(args, config):
 # --- parser ------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on the first `main` call."""
     ap = argparse.ArgumentParser(
         prog="primevisit",
         description="early prime clusters in progressions and prime-time "
@@ -491,9 +491,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     work_cap = args.work_cap

@@ -7,11 +7,15 @@ It concentrates mass on residues a mod q for which several of the shifted
 values a + q*h_i are prime.  This module computes:
 
   * the small-prime setup (w, W_q, b_0) that removes small-prime obstructions;
-  * lambda_f divisor sums and the weights themselves (tensor cutoffs exactly,
-    via the product of one-dimensional divisor sums);
-  * the singular integrals I(F), J_i(F) of the mixed derivative, in closed
-    form for tensor cutoffs and by dimension-reduced grid quadrature (with a
-    Monte-Carlo cross-check) for the psi-product family;
+  * the two cutoff families, one class each: TensorCutoff, a product of
+    one-dimensional pieces, and PsiCutoff, Maynard's psi-product on the
+    simplex;
+  * lambda_f divisor sums and the weights themselves, exactly, for tensor
+    cutoffs (the product of one-dimensional divisor sums);
+  * the singular integrals I(F), J_i(F) of the mixed derivative, methods of
+    the cutoff: in closed form for TensorCutoff and by dimension-reduced grid
+    quadrature for PsiCutoff (the Monte-Carlo cross-check of the grid lives
+    with the acceptance suite);
   * the detection ratio sum_i J_i / I and the (k, rho) selection rule;
   * the exact finite sum S = sum_a (#primes - (m-1) - k * #small-factors) w_a
     whose positivity pigeonholes an m-cluster into some progression;
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import ceil, exp, floor, fsum, gcd, isqrt, log, log10
+from math import ceil, exp, floor, fsum, gcd, isqrt, log, log10, prod
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -132,69 +136,129 @@ class PiecewiseLinear:
         return fsum(s * s * (t1 - t0) for t0, t1, s in self.deriv_segments())
 
 
-@dataclass(frozen=True)
 class CutoffF:
-    """Cutoff family: either a tensor product of one-dimensional pieces, or
-    the psi-product whose mixed derivative is
-    1_Delta(t) * prod_i psi(t_i), psi(t) = 1/(c + (k-1) t),
-    c = 1/log k - 1/log^2 k."""
+    """A cutoff F on [0, inf)^k, seen through its mixed derivative dF.
 
-    family: str  # 'tensor' | 'psi_product'
-    fs: Optional[tuple[PiecewiseLinear, ...]] = None
-    k: int = 0
-    theta: float = 0.5
-    eps_k: float = 0.0
+    Subclasses give `family` (the name reports print), `k`, `theta` (the
+    level of distribution the cutoff was built for, or None) and the
+    singular integrals of dF."""
 
-    @classmethod
-    def tensor(cls, fs: Sequence[PiecewiseLinear]) -> "CutoffF":
-        fs = tuple(fs)
-        if not fs:
+    family: str
+    k: int
+    theta: Optional[float] = None
+
+    def singular_I(self) -> float:
+        """I(dF) = int (dF)^2."""
+        raise NotImplementedError
+
+    def singular_J(self, i: int) -> float:
+        """J_i(dF) = int (int dF dt_i)^2 over the remaining coordinates."""
+        if not 0 <= i < self.k:
+            raise UsageError(f"coordinate {i} outside range(k={self.k})")
+        return self._J(i)
+
+    def _J(self, i: int) -> float:
+        raise NotImplementedError
+
+    def J_sum(self) -> float:
+        return fsum(self.singular_J(i) for i in range(self.k))
+
+
+@dataclass(frozen=True)
+class TensorCutoff(CutoffF):
+    """F(t) = prod_i f_i(t_i): exact weights and closed-form integrals."""
+
+    fs: tuple[PiecewiseLinear, ...]
+    family = "tensor"
+
+    def __post_init__(self):
+        object.__setattr__(self, "fs", tuple(self.fs))
+        if not self.fs:
             raise UsageError("empty tensor family")
-        return cls(family="tensor", fs=fs, k=len(fs))
 
     @classmethod
-    def ramp_tensor(cls, k: int, s: float) -> "CutoffF":
-        return cls.tensor([PiecewiseLinear.ramp(s)] * k)
+    def ramp(cls, k: int, s: float) -> "TensorCutoff":
+        return cls((PiecewiseLinear.ramp(s),) * k)
 
-    @classmethod
-    def psi_product(
-        cls, k: int, theta: float = 0.5, eps_k: Optional[float] = None
-    ) -> "CutoffF":
-        if k < 2:
+    @property
+    def k(self) -> int:
+        return len(self.fs)
+
+    def value(self, t: Sequence[float]) -> float:
+        """F at a point of [0, inf)^k."""
+        if len(t) != self.k:
+            raise UsageError(f"point has {len(t)} coordinates, expected {self.k}")
+        if any(v < 0 for v in t):
+            raise UsageError("coordinates must be >= 0")
+        return prod(f(float(v)) for f, v in zip(self.fs, t))
+
+    def check_support(self, theta: float, eps_k: float):
+        """The supports must fit inside the simplex: sum s_i <= (theta-eps)/2."""
+        total = fsum(f.support for f in self.fs)
+        if total > (theta - eps_k) / 2.0 + 1e-12:
+            raise InvalidParameter(
+                f"tensor supports sum to {total:.6f} > (theta-eps)/2 = "
+                f"{(theta - eps_k) / 2:.6f}"
+            )
+
+    def singular_I(self) -> float:
+        return prod(f.integral_deriv_sq() for f in self.fs)
+
+    def _J(self, i: int) -> float:
+        return prod(
+            [self.fs[i].integral_deriv() ** 2]
+            + [f.integral_deriv_sq() for j, f in enumerate(self.fs) if j != i]
+        )
+
+
+@dataclass(frozen=True)
+class PsiCutoff(CutoffF):
+    """The cutoff whose mixed derivative is 1_Delta(t) * prod_i psi(t_i),
+    psi(t) = 1/(c + (k-1) t), c = 1/log k - 1/log^2 k, on the simplex
+    Delta = {t >= 0 : sum t_i <= (theta - eps_k)/2}.
+
+    Its integrals come from a dimension-reduced grid quadrature, cached per
+    cutoff; J_i is the same for every i."""
+
+    k: int
+    theta: float = 0.5
+    eps_k: Optional[float] = None
+    family = "psi_product"
+
+    def __post_init__(self):
+        if self.k < 2:
             raise UsageError("psi family needs k >= 2")
-        if eps_k is None:
-            eps_k = 1.0 / log(k)
-        if not 0 <= eps_k < theta:
-            raise UsageError(f"need 0 <= eps_k < theta, got {eps_k} vs {theta}")
-        return cls(family="psi_product", k=k, theta=float(theta), eps_k=float(eps_k))
+        eps_k = 1.0 / log(self.k) if self.eps_k is None else self.eps_k
+        if not 0 <= eps_k < self.theta:
+            raise UsageError(f"need 0 <= eps_k < theta, got {eps_k} vs {self.theta}")
+        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "eps_k", float(eps_k))
 
     @property
     def simplex_cap(self) -> float:
-        """(theta - eps)/2 for the psi family; sum of supports for tensor."""
-        if self.family == "psi_product":
-            return (self.theta - self.eps_k) / 2.0
-        return fsum(f.support for f in self.fs)
+        """(theta - eps_k)/2."""
+        return (self.theta - self.eps_k) / 2.0
 
     @property
     def psi_c(self) -> float:
         lk = log(self.k)
         return 1.0 / lk - 1.0 / lk**2
 
-    def support_per_coordinate(self, i: int) -> float:
-        if self.family == "tensor":
-            return self.fs[i].support
-        return self.simplex_cap
+    def psi(self, x: np.ndarray) -> np.ndarray:
+        return 1.0 / (self.psi_c + (self.k - 1) * x)
 
+    def Psi(self, x: np.ndarray) -> np.ndarray:
+        """Psi(x) = int_0^x psi."""
+        return np.log1p((self.k - 1) * x / self.psi_c) / (self.k - 1)
 
-def validate_cutoff(F: CutoffF, theta: float, eps_k: float):
-    """Tensor supports must fit inside the simplex: sum s_i <= (theta-eps)/2."""
-    if F.family == "tensor":
-        total = fsum(f.support for f in F.fs)
-        if total > (theta - eps_k) / 2.0 + 1e-12:
-            raise InvalidParameter(
-                f"tensor supports sum to {total:.6f} > (theta-eps)/2 = "
-                f"{(theta - eps_k) / 2:.6f}"
-            )
+    def singular_I(self) -> float:
+        return _grid_I_J_refined(self)[0]
+
+    def _J(self, i: int) -> float:
+        return _grid_I_J_refined(self)[1]
+
+    def J_sum(self) -> float:
+        return self.k * self.singular_J(0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +268,10 @@ def validate_cutoff(F: CutoffF, theta: float, eps_k: float):
 
 @dataclass(frozen=True)
 class SieveParams:
-    """All sieve configuration: target cluster size m, level of distribution
-    theta, simplex shrink eps_k, tuple length k, small-prime cutoff exponent
-    rho, small-prime bound w, primorial W_q, residue b0, ratio constant C2."""
+    """All sieve configuration: level of distribution theta, simplex shrink
+    eps_k, tuple length k, small-prime cutoff exponent rho, small-prime bound
+    w, primorial W_q, residue b0."""
 
-    m: int
     theta: float
     eps_k: float
     k: int
@@ -216,19 +279,16 @@ class SieveParams:
     w: int
     Wq: int
     b0: int
-    C2: float = 0.0
 
     @classmethod
     def build(
         cls,
         q: int,
         offsets: Sequence[int],
-        m: int,
         theta: float = 0.5,
         eps_k: Optional[float] = None,
         rho: Optional[Union[Fraction, float]] = None,
         w_override: Optional[int] = None,
-        C2: float = 0.0,
     ) -> "SieveParams":
         k = len(offsets)
         if k < 1:
@@ -242,8 +302,7 @@ class SieveParams:
         w, Wq = small_primorial_coprime(q, w_override)
         b0 = choose_b0(q, Wq, offsets)
         return cls(
-            m=m, theta=float(theta), eps_k=float(eps_k), k=k, rho=rho,
-            w=w, Wq=Wq, b0=b0, C2=float(C2),
+            theta=float(theta), eps_k=float(eps_k), k=k, rho=rho, w=w, Wq=Wq, b0=b0
         )
 
 
@@ -273,12 +332,7 @@ def lambda_f(n: int, f: PiecewiseLinear, q: int) -> float:
     divisors inside the support (d <= q^s)."""
     if n < 1:
         raise UsageError(f"need n >= 1, got {n}")
-    logq = log(q)
-    cap = f.support * logq
-    terms = [
-        mu * f(ld / logq) for ld, mu in _mu_divisors_bounded(_distinct_primes(n), cap)
-    ]
-    return fsum(terms)
+    return _lambda_from_primes(_distinct_primes(n), f, log(q))
 
 
 def _lambda_from_primes(primes: Sequence[int], f: PiecewiseLinear, logq: float) -> float:
@@ -290,72 +344,35 @@ def _lambda_from_primes(primes: Sequence[int], f: PiecewiseLinear, logq: float) 
 
 
 def weight(
-    a: int,
-    q: int,
-    params: SieveParams,
-    F: CutoffF,
-    offsets: Sequence[int],
-    budget: int = 200_000,
+    a: int, q: int, params: SieveParams, F: CutoffF, offsets: Sequence[int]
 ) -> float:
     """The sieve weight w_a >= 0 (a square), vanishing off the b0 class.
 
-    Tensor cutoffs factor exactly as (prod_i lambda_{f_i}(a + q h_i))^2.
-    The psi family needs one k-dimensional integral per divisor tuple, so a
-    work budget guards the enumeration.
+    Tensor cutoffs only: they factor exactly as
+    (prod_i lambda_{f_i}(a + q h_i))^2.
     """
+    if not isinstance(F, TensorCutoff):
+        raise UsageError("weight needs the tensor family (exact weights)")
     if gcd(a, q) != 1:
         raise UsageError(f"gcd({a}, {q}) != 1")
     if len(offsets) != params.k:
         raise UsageError("offsets length differs from params.k")
+    F.check_support(params.theta, params.eps_k)
     if params.Wq > 1 and a % params.Wq != params.b0 % params.Wq:
         return 0.0
-    validate_cutoff(F, params.theta, params.eps_k)
     logq = log(q)
-    ns = [a + q * h for h in offsets]
-    if F.family == "tensor":
-        prod = 1.0
-        for n_i, f_i in zip(ns, F.fs):
-            prod *= _lambda_from_primes(_distinct_primes(n_i), f_i, logq)
-        return prod * prod
-
-    # psi family: direct k-fold enumeration with F values from quadrature
-    cap_total = F.simplex_cap * logq
-    per_coord = [
-        _mu_divisors_bounded(_distinct_primes(n_i), cap_total) for n_i in ns
-    ]
-    n_leaves = 1
-    for lst in per_coord:
-        n_leaves *= len(lst)
-    if n_leaves > budget:
-        raise BudgetExceeded(
-            f"{n_leaves} divisor tuples exceed weight budget {budget}"
-        )
-    terms = []
-    t = [0.0] * params.k
-
-    def rec(i: int, logsum: float, mu: int):
-        if logsum > cap_total + 1e-12:
-            return
-        if i == params.k:
-            terms.append(mu * cutoff_value(F, t))
-            return
-        for ld, m in per_coord[i]:
-            t[i] = ld / logq
-            rec(i + 1, logsum + ld, mu * m)
-        t[i] = 0.0
-
-    rec(0, 0.0, 1)
-    inner = fsum(terms)
+    inner = 1.0
+    for h, f_i in zip(offsets, F.fs):
+        inner *= _lambda_from_primes(_distinct_primes(a + q * h), f_i, logq)
     return inner * inner
 
 
 # ---------------------------------------------------------------------------
-# psi-family numerics: pointwise values and singular integrals
+# psi-family singular integrals
 # ---------------------------------------------------------------------------
 
 _GRID_N = 1 << 13
 _GRID_TOL = 1e-6
-_PSI_POINT_KMAX = 6
 
 
 def _fft_size(n: int) -> int:
@@ -385,36 +402,26 @@ def _trap_conv(f: np.ndarray, g: np.ndarray, dx: float) -> np.ndarray:
     return s * dx
 
 
-def _psi_vals(F: CutoffF, x: np.ndarray) -> np.ndarray:
-    return 1.0 / (F.psi_c + (F.k - 1) * x)
-
-
-def _psi_capital(F: CutoffF, x: np.ndarray) -> np.ndarray:
-    """Psi(x) = int_0^x psi."""
-    c = F.psi_c
-    return np.log1p((F.k - 1) * x / c) / (F.k - 1)
-
-
-def _grid_I_J(F: CutoffF, n_grid: int) -> tuple[float, float]:
+def _grid_I_J(F: PsiCutoff, n_grid: int) -> tuple[float, float]:
     """I and J_1 for the psi family by dimension reduction:
     I = int_0^R rho^{*k}, J = int_0^R rho^{*(k-1)}(s) Psi(R-s)^2 ds,
     rho = psi^2 (convolutions on a 1-d grid)."""
     R = F.simplex_cap
     x = np.linspace(0.0, R, n_grid + 1)
     dx = R / n_grid
-    rho = _psi_vals(F, x) ** 2
+    rho = F.psi(x) ** 2
     conv = rho.copy()
     for _ in range(F.k - 2):
         conv = _trap_conv(conv, rho, dx)
     # conv is now rho^{*(k-1)}
-    J = float(np.trapezoid(conv * _psi_capital(F, R - x) ** 2, dx=dx))
+    J = float(np.trapezoid(conv * F.Psi(R - x) ** 2, dx=dx))
     conv_k = _trap_conv(conv, rho, dx)
     I = float(np.trapezoid(conv_k, dx=dx))
     return I, J
 
 
 @lru_cache(maxsize=64)
-def _grid_I_J_refined(F: CutoffF) -> tuple[float, float]:
+def _grid_I_J_refined(F: PsiCutoff) -> tuple[float, float]:
     """Richardson-checked grid values; raises when not converged."""
     I1, J1 = _grid_I_J(F, _GRID_N)
     I2, J2 = _grid_I_J(F, 2 * _GRID_N)
@@ -426,109 +433,6 @@ def _grid_I_J_refined(F: CutoffF) -> tuple[float, float]:
             f"dI={abs(I2 - I1):.2e}, dJ={abs(J2 - J1):.2e}"
         )
     return I2, J2
-
-
-def cutoff_value(F: CutoffF, t: Sequence[float], n_grid: int = 1024) -> float:
-    """F evaluated at a point of [0, inf)^k.
-
-    Tensor: prod f_i(t_i) exactly.  Psi family: the integral of the mixed
-    derivative over {u >= t} inside the simplex (the sign convention is
-    immaterial because weights are squared); zero once sum(t) leaves the
-    simplex.  Cost grows with k; k > 6 is refused.
-    """
-    t = [float(v) for v in t]
-    if len(t) != F.k:
-        raise UsageError(f"point has {len(t)} coordinates, expected {F.k}")
-    if any(v < 0 for v in t):
-        raise UsageError("coordinates must be >= 0")
-    if F.family == "tensor":
-        out = 1.0
-        for f_i, v in zip(F.fs, t):
-            out *= f_i(v)
-        return out
-    if F.k > _PSI_POINT_KMAX:
-        raise BudgetExceeded(
-            f"pointwise psi-family values limited to k <= {_PSI_POINT_KMAX}"
-        )
-    S = F.simplex_cap - fsum(t)
-    if S <= 0:
-        return 0.0
-    x = np.linspace(0.0, S, n_grid + 1)
-    dx = S / n_grid
-    conv = _psi_vals(F, t[0] + x)
-    for i in range(1, F.k):
-        conv = _trap_conv(conv, _psi_vals(F, t[i] + x), dx)
-    return float(np.trapezoid(conv, dx=dx))
-
-
-def singular_I(F: CutoffF) -> float:
-    """I(dF) = int (mixed derivative)^2.  Tensor: prod int (f_i')^2 in closed
-    form; psi family by the reduced grid quadrature."""
-    if F.family == "tensor":
-        out = 1.0
-        for f in F.fs:
-            out *= f.integral_deriv_sq()
-        return out
-    I, _ = _grid_I_J_refined(F)
-    return I
-
-
-def singular_J(F: CutoffF, i: int) -> float:
-    """J_i(dF) = int (int dF dt_i)^2 over the remaining coordinates."""
-    if not 0 <= i < F.k:
-        raise UsageError(f"coordinate {i} outside range(k={F.k})")
-    if F.family == "tensor":
-        out = F.fs[i].integral_deriv() ** 2
-        for j, f in enumerate(F.fs):
-            if j != i:
-                out *= f.integral_deriv_sq()
-        return out
-    _, J = _grid_I_J_refined(F)  # symmetric in i
-    return J
-
-
-def singular_mc(
-    F: CutoffF, n_samples: int = 10**6, seed: int = 0, chunk: int = 1 << 20
-) -> dict:
-    """Monte-Carlo estimates of I and J_1 with standard errors (independent
-    cross-check of the grid route)."""
-    if F.family != "psi_product":
-        raise UsageError("Monte-Carlo path is for the psi family")
-    R = F.simplex_cap
-    k = F.k
-    rng = np.random.default_rng(seed)
-
-    def simplex_uniform(n, dim):
-        e = rng.exponential(size=(n, dim + 1))
-        return R * e[:, :dim] / e.sum(axis=1, keepdims=True)
-
-    def mc(dim, integrand):
-        total = 0.0
-        total2 = 0.0
-        done = 0
-        vol = R**dim
-        for j in range(2, dim + 1):
-            vol /= j
-        while done < n_samples:
-            n = min(chunk, n_samples - done)
-            u = simplex_uniform(n, dim)
-            vals = integrand(u)
-            total += float(vals.sum())
-            total2 += float((vals * vals).sum())
-            done += n
-        mean = total / n_samples
-        var = max(total2 / n_samples - mean * mean, 0.0)
-        se = vol * (var / n_samples) ** 0.5
-        return vol * mean, se
-
-    I_est, I_se = mc(k, lambda u: np.prod(_psi_vals(F, u), axis=1) ** 2)
-
-    def j_integrand(u):
-        base = np.prod(_psi_vals(F, u), axis=1) ** 2
-        return base * _psi_capital(F, R - u.sum(axis=1)) ** 2
-
-    J_est, J_se = mc(k - 1, j_integrand)
-    return {"I": I_est, "I_se": I_se, "J": J_est, "J_se": J_se}
 
 
 @dataclass(frozen=True)
@@ -549,15 +453,13 @@ def detection_ratio(
     m: Optional[int] = None,
 ) -> RatioReport:
     """sum_i J_i(dF) / I(dF), flagged against (theta/2) log k - C2 and, when
-    m is given, against the m-cluster success criterion ratio > m - 1."""
-    I = singular_I(F)
+    m is given, against the m-cluster success criterion ratio > m - 1.
+    theta defaults to the cutoff's own (none for a tensor cutoff)."""
+    I = F.singular_I()
     if I <= 0:
         raise InvalidParameter("I(F) must be positive")
-    if F.family == "psi_product":
-        J_sum = F.k * singular_J(F, 0)
-        theta = F.theta if theta is None else theta
-    else:
-        J_sum = fsum(singular_J(F, i) for i in range(F.k))
+    J_sum = F.J_sum()
+    theta = F.theta if theta is None else theta
     ratio = J_sum / I
     bound = None
     exceeds = None
@@ -722,9 +624,9 @@ def s_sum_bruteforce(
     elementwise, and every sum is an fsum, so the report does not depend on
     the order or the chunking of the residues.
     """
-    if F.family != "tensor":
+    if not isinstance(F, TensorCutoff):
         raise UsageError("s_sum_bruteforce needs the tensor family (exact weights)")
-    validate_cutoff(F, params.theta, params.eps_k)
+    F.check_support(params.theta, params.eps_k)
     offsets = tuple(offsets)
     k = len(offsets)
     if k != params.k:

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from primevisit import cli
 from primevisit.cli import main
 
 
@@ -158,3 +159,21 @@ def test_return_time_achieved_is_not_cancelled(capsys):
         x = doc["tau"] * (mpmath.sqrt(5) - 1) / 2
         want = float(abs(x - mpmath.nint(x)))
     assert abs(doc["achieved"] - want) <= 1e-9 * want
+
+
+def test_parser_built_once(capsys):
+    run_cli(capsys, "tuple", "--k", "2")
+    code, out, _ = run_cli(capsys, "tuple", "--k", "3")
+    assert code == 0 and json.loads(out)["offsets"] == [0, 2, 6]
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_kac_rotation_stratified_samples(capsys):
+    # iid draws put these two at relative errors 0.145 and 0.119
+    for alpha, x0, eps, seed in (("sqrt:15:-7/3:3/4", "0", "1/38", "263776"),
+                                 ("sqrt:15:31/4:-2", "1/4", "1/15", "429886")):
+        code, out, _ = run_cli(capsys, "kac", "--system", "rotation", "--alpha", alpha,
+                               "--x0", x0, "--eps", eps, "--seed", seed)
+        doc = json.loads(out)
+        assert code == 0 and doc["censored"] == 0
+        assert doc["relative_error"] < 0.02

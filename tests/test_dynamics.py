@@ -331,6 +331,10 @@ def test_early_visit_honest_failure():
 def test_kac_examples():
     rep = kac_empirical(Shift(7), 0, 0.5, 1, 100)
     assert rep.mean_return == 7.0 and rep.relative_error == 0.0
+    # eps > 1: the ball is all of Z/7 and every point returns at once
+    rep = kac_empirical(Shift(7), 0, 1.5, 1, 100)
+    assert rep.mean_return == 1.0 == rep.target and rep.relative_error == 0.0
+    assert rep.n_samples == 7
 
     rep = kac_empirical(
         Rotation(SQRT2M1), 0, 0.05, n_samples=10**4, cap=10**4, seed=42

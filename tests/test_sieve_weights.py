@@ -1,31 +1,30 @@
 import dataclasses
+import json
 from fractions import Fraction
 from math import exp, floor, fsum, gcd, log
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import nquad, quad
 
 from primevisit import sieve_weights
-from primevisit.acceptance import singular_I_quad, singular_J_quad
+from primevisit.acceptance import singular_I_quad, singular_J_quad, singular_mc
+from primevisit.cli import main
 from primevisit.errors import BudgetExceeded, InvalidParameter, UsageError
 from primevisit.primes import factorize, iter_prime_segments
 from primevisit.sieve_weights import (
-    CutoffF,
     PiecewiseLinear,
+    PsiCutoff,
     SieveParams,
+    TensorCutoff,
     choose_b0,
-    cutoff_value,
     detection_ratio,
     discrepancy_reduced,
     lambda_f,
     s_sum_bruteforce,
     select_k_rho,
-    singular_I,
-    singular_J,
-    singular_mc,
     small_primorial_coprime,
     weight,
 )
@@ -71,8 +70,8 @@ def test_lambda_f_squarefree_kernel():
 
 
 def _tensor_params(q=101, offsets=(0, 2), s=0.125, theta=0.5):
-    params = SieveParams.build(q, offsets, m=2, theta=theta, eps_k=0.0, w_override=3)
-    F = CutoffF.ramp_tensor(len(offsets), s)
+    params = SieveParams.build(q, offsets, theta=theta, eps_k=0.0, w_override=3)
+    F = TensorCutoff.ramp(len(offsets), s)
     return params, F
 
 
@@ -119,55 +118,71 @@ def test_weight_all_factors_large():
 
 def test_tensor_support_validation():
     params, _ = _tensor_params()
-    F_bad = CutoffF.ramp_tensor(2, 0.2)  # sum s = 0.4 > (0.5 - 0)/2
-    with pytest.raises(InvalidParameter):
-        weight(1, 101, params, F_bad, (0, 2))
+    F_bad = TensorCutoff.ramp(2, 0.2)  # sum s = 0.4 > (0.5 - 0)/2
+    for a in (1, 5):  # in and off the b0 class 1 mod 6
+        with pytest.raises(InvalidParameter):
+            weight(a, 101, params, F_bad, (0, 2))
 
 
 def test_cutoff_tensor_values():
-    F = CutoffF.ramp_tensor(2, 0.125)
-    assert cutoff_value(F, (0.0, 0.0)) == 1.0
-    assert cutoff_value(F, (0.2, 0.0)) == 0.0  # outside support
-    assert cutoff_value(F, (0.0625, 0.0625)) == pytest.approx(0.25)
-
-
-def test_cutoff_psi_values():
-    F = CutoffF.psi_product(2, theta=1.0, eps_k=0.1)
-    R = F.simplex_cap
-    assert cutoff_value(F, (R + 0.01, 0.0)) == 0.0
-    assert cutoff_value(F, (R / 2, R / 2 + 1e-9)) == 0.0
-    v = cutoff_value(F, (0.0, 0.0))
-    # Monte-Carlo oracle within 0.5%
-    rng = np.random.default_rng(2)
-    e = rng.exponential(size=(10**6, 3))
-    u = R * e[:, :2] / e.sum(axis=1, keepdims=True)
-    mc = (R**2 / 2) * np.prod(1.0 / (F.psi_c + (F.k - 1) * u), axis=1).mean()
-    assert v == pytest.approx(mc, rel=5e-3)
-    with pytest.raises(BudgetExceeded):
-        cutoff_value(CutoffF.psi_product(8, theta=1.0), [0.0] * 8)
+    F = TensorCutoff.ramp(2, 0.125)
+    assert F.value((0.0, 0.0)) == 1.0
+    assert F.value((0.2, 0.0)) == 0.0  # outside support
+    assert F.value((0.0625, 0.0625)) == pytest.approx(0.25)
 
 
 def test_singular_tensor_closed_forms():
-    F = CutoffF.ramp_tensor(2, 0.125)
-    assert singular_I(F) == pytest.approx(64.0)
-    assert singular_J(F, 0) == pytest.approx(8.0)
-    assert singular_J(F, 1) == pytest.approx(8.0)
+    F = TensorCutoff.ramp(2, 0.125)
+    assert F.singular_I() == pytest.approx(64.0)
+    assert F.singular_J(0) == pytest.approx(8.0)
+    assert F.singular_J(1) == pytest.approx(8.0)
     r = detection_ratio(F, theta=0.5, m=2)
     assert r.ratio == pytest.approx(0.25)
     assert r.detects_m is False  # needs > 1 for a pair
-    # J_i >= 0 and I > 0 for nonzero F
-    mixed = CutoffF.tensor(
-        [PiecewiseLinear.ramp(0.1), PiecewiseLinear(((0.0, 0.5), (0.05, 0.2), (0.12, 0.0)))]
-    )
-    assert singular_I(mixed) > 0
-    assert all(singular_J(mixed, i) >= 0 for i in range(2))
-    # quadrature route agrees
-    assert singular_I_quad(mixed) == pytest.approx(singular_I(mixed), rel=1e-9)
-    assert singular_J_quad(mixed, 1) == pytest.approx(singular_J(mixed, 1), rel=1e-9)
+
+
+@st.composite
+def _piecewise_linear(draw):
+    n = draw(st.integers(2, 5))
+    gaps = draw(st.lists(st.floats(0.01, 0.2), min_size=n - 1, max_size=n - 1))
+    vals = draw(st.lists(st.floats(-2.0, 2.0), min_size=n - 1, max_size=n - 1))
+    ts = [fsum(gaps[:i]) for i in range(n)]
+    return PiecewiseLinear(list(zip(ts, vals + [0.0])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_piecewise_linear(), min_size=1, max_size=3))
+@example([PiecewiseLinear.ramp(0.1),
+          PiecewiseLinear(((0.0, 0.5), (0.05, 0.2), (0.12, 0.0)))])
+def test_tensor_integrals_match_quadrature(fs):
+    F = TensorCutoff(fs)
+    assert F.singular_I() == pytest.approx(singular_I_quad(F), rel=1e-9, abs=1e-12)
+    for i in range(F.k):
+        assert F.singular_J(i) == pytest.approx(singular_J_quad(F, i), rel=1e-9, abs=1e-12)
+    assert F.J_sum() == pytest.approx(fsum(singular_J_quad(F, i) for i in range(F.k)),
+                                      rel=1e-9, abs=1e-12)
+
+
+def test_exact_weights_refuse_psi_cutoff():
+    params, _ = _tensor_params()
+    F = PsiCutoff(2, theta=0.5, eps_k=0.0)
+    with pytest.raises(UsageError, match="tensor family"):
+        weight(1, 101, params, F, (0, 2))
+    with pytest.raises(UsageError, match="tensor family"):
+        s_sum_bruteforce(101, 2, (0, 2), params, F)
+
+
+def test_psi_weights_runs_the_grid_once(capsys):
+    # one quadrature per weights op: I misses, J_sum and the k listed J_i hit
+    sieve_weights._grid_I_J_refined.cache_clear()
+    assert main(["weights", "--family", "psi", "--k", "4", "--theta", "0.8312"]) == 0
+    info = sieve_weights._grid_I_J_refined.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+    assert json.loads(capsys.readouterr().out)["family"] == "psi_product"
 
 
 def test_singular_psi_vs_nquad():
-    F = CutoffF.psi_product(2, theta=1.0, eps_k=0.1)
+    F = PsiCutoff(2, theta=1.0, eps_k=0.1)
     R, c = F.simplex_cap, F.psi_c
 
     def rho(u):
@@ -176,26 +191,26 @@ def test_singular_psi_vs_nquad():
     I_ref, _ = nquad(
         lambda u2, u1: rho(u1) * rho(u2), [lambda u1: [0, R - u1], [0, R]]
     )
-    assert singular_I(F) == pytest.approx(I_ref, rel=1e-6)
+    assert F.singular_I() == pytest.approx(I_ref, rel=1e-6)
 
     def Psi(x):
         return np.log1p(x / c)
 
     J_ref, _ = quad(lambda s: rho(s) * Psi(R - s) ** 2, 0, R, limit=200)
-    assert singular_J(F, 0) == pytest.approx(J_ref, rel=1e-8)
+    assert F.singular_J(0) == pytest.approx(J_ref, rel=1e-8)
 
 
 @pytest.mark.parametrize("k", [3, 5])
 def test_singular_psi_vs_mc(k):
-    F = CutoffF.psi_product(k, theta=1.0)
+    F = PsiCutoff(k, theta=1.0)
     mc = singular_mc(F, n_samples=4 * 10**5, seed=9)
-    assert abs(singular_I(F) - mc["I"]) <= 3.5 * mc["I_se"]
-    assert abs(singular_J(F, 0) - mc["J"]) <= 3.5 * mc["J_se"]
+    assert abs(F.singular_I() - mc["I"]) <= 3.5 * mc["I_se"]
+    assert abs(F.singular_J(0) - mc["J"]) <= 3.5 * mc["J_se"]
 
 
 def test_psi_ratio_grows_with_k():
-    r5 = detection_ratio(CutoffF.psi_product(5, theta=1.0)).ratio
-    r20 = detection_ratio(CutoffF.psi_product(20, theta=1.0)).ratio
+    r5 = detection_ratio(PsiCutoff(5, theta=1.0)).ratio
+    r20 = detection_ratio(PsiCutoff(20, theta=1.0)).ratio
     assert r20 > r5
 
 
@@ -235,8 +250,8 @@ def test_ssum_consistency():
 
 def test_ssum_census_bound_fields():
     q, offsets = 10007, (0, 2, 6)
-    params = SieveParams.build(q, offsets, m=2, theta=0.5, eps_k=0.0, w_override=3)
-    F = CutoffF.ramp_tensor(3, 0.08)
+    params = SieveParams.build(q, offsets, theta=0.5, eps_k=0.0, w_override=3)
+    F = TensorCutoff.ramp(3, 0.08)
     rep = s_sum_bruteforce(q, 2, offsets, params, F)
     assert rep.residues_enumerated > 0
     assert rep.S == rep.recombine()
@@ -256,9 +271,9 @@ def test_ssum_budget():
     with pytest.raises(BudgetExceeded, match="17 residues x 2 offsets exceeds work cap 33"):
         s_sum_bruteforce(101, 2, (0, 2), params, F, work_cap=33)
     # a + q h beyond 2^40
-    big = SieveParams.build(2**20, (0, 2**20), m=2, eps_k=0.0, w_override=3)
+    big = SieveParams.build(2**20, (0, 2**20), eps_k=0.0, w_override=3)
     with pytest.raises(BudgetExceeded):
-        s_sum_bruteforce(2**20, 2, (0, 2**20), big, CutoffF.ramp_tensor(2, 0.05),
+        s_sum_bruteforce(2**20, 2, (0, 2**20), big, TensorCutoff.ramp(2, 0.05),
                          work_cap=10**9)
 
 
@@ -333,7 +348,7 @@ def _ssum_case(draw):
     offsets = tuple(2 * sum(gaps[:i]) for i in range(k))
     assume(_admissible(offsets))
     theta = draw(st.sampled_from((0.5, 1.0)))
-    # supports up to the validate_cutoff limit sum s_i <= theta / 2
+    # supports up to the check_support limit sum s_i <= theta / 2
     fs = []
     left = theta / 2
     for i in range(k):
@@ -352,10 +367,10 @@ def _ssum_case(draw):
 @given(_ssum_case())
 def test_ssum_matches_per_residue_oracle(case):
     q, m, offsets, theta, fs, w_override, rho = case
-    params = SieveParams.build(q, offsets, m=m, theta=theta, eps_k=0.0, w_override=w_override)
+    params = SieveParams.build(q, offsets, theta=theta, eps_k=0.0, w_override=w_override)
     if rho is not None:
         params = dataclasses.replace(params, rho=rho)
-    F = CutoffF.tensor(fs)
+    F = TensorCutoff(fs)
     assert s_sum_bruteforce(q, m, offsets, params, F) == _ssum_oracle(
         q, m, offsets, params, F
     )
@@ -363,9 +378,9 @@ def test_ssum_matches_per_residue_oracle(case):
 
 def test_ssum_small_factor_sums():
     q, offsets = 1009, (0, 2, 6)
-    params = SieveParams.build(q, offsets, m=2, theta=1.0, eps_k=0.0, w_override=5)
+    params = SieveParams.build(q, offsets, theta=1.0, eps_k=0.0, w_override=5)
     params = dataclasses.replace(params, rho=Fraction(1, 2))
-    F = CutoffF.ramp_tensor(3, 0.15)
+    F = TensorCutoff.ramp(3, 0.15)
     rep = s_sum_bruteforce(q, 2, offsets, params, F)
     assert rep.smallprime_cutoff == 31
     assert all(v > 0 for v in rep.smallfactor_sums)
@@ -377,14 +392,14 @@ def test_ssum_chunking(monkeypatch, chunk):
     # q = 101, W_q = 6: residue slots 1, 7, ..., 97 are 17 positions
     monkeypatch.setattr(sieve_weights, "_SSUM_CHUNK", chunk)
     q, offsets = 101, (0, 2)
-    params = SieveParams.build(q, offsets, m=2, theta=1.0, eps_k=0.0, w_override=3)
+    params = SieveParams.build(q, offsets, theta=1.0, eps_k=0.0, w_override=3)
     params = dataclasses.replace(params, rho=Fraction(1, 2))
-    F = CutoffF.ramp_tensor(2, 0.24)
+    F = TensorCutoff.ramp(2, 0.24)
     assert s_sum_bruteforce(q, 2, offsets, params, F) == _ssum_oracle(
         q, 2, offsets, params, F
     )
     q = 2310  # W_q = 1, 480 reduced residues among 2310 slots
-    params = SieveParams.build(q, offsets, m=2, theta=1.0, eps_k=0.0, w_override=3)
+    params = SieveParams.build(q, offsets, theta=1.0, eps_k=0.0, w_override=3)
     assert s_sum_bruteforce(q, 2, offsets, params, F) == _ssum_oracle(
         q, 2, offsets, params, F
     )
@@ -394,9 +409,9 @@ def test_ssum_prime_factor_above_square_root():
     # support 3 > 1: every prime factor of a + q h counts, including the one
     # above sqrt(a + q h) that trial division leaves behind
     q, offsets = 500, (0,)
-    params = SieveParams.build(q, offsets, m=2, theta=6.0, eps_k=0.0, w_override=3)
+    params = SieveParams.build(q, offsets, theta=6.0, eps_k=0.0, w_override=3)
     params = dataclasses.replace(params, rho=Fraction(1))
-    F = CutoffF.ramp_tensor(1, 3.0)
+    F = TensorCutoff.ramp(1, 3.0)
     rep = s_sum_bruteforce(q, 2, offsets, params, F)
     assert rep.smallprime_cutoff > 22  # isqrt(500)
     assert rep == _ssum_oracle(q, 2, offsets, params, F)
@@ -404,8 +419,8 @@ def test_ssum_prime_factor_above_square_root():
 
 def test_ssum_offsets_order_and_sign():
     q = 1009
-    F = CutoffF.ramp_tensor(3, 0.08)
-    params = SieveParams.build(q, (0, 2, 6), m=2, eps_k=0.0, w_override=5)
+    F = TensorCutoff.ramp(3, 0.08)
+    params = SieveParams.build(q, (0, 2, 6), eps_k=0.0, w_override=5)
     rep = s_sum_bruteforce(q, 2, (0, 6, 2), params, F)
     ref = s_sum_bruteforce(q, 2, (0, 2, 6), params, F)
     assert rep.prime_sums == (ref.prime_sums[0], ref.prime_sums[2], ref.prime_sums[1])
@@ -469,21 +484,9 @@ def test_trap_conv_fft_matches_direct(n):
 
 @pytest.mark.parametrize("k", range(3, 11))
 def test_psi_grid_fft_matches_direct(monkeypatch, k):
-    F = CutoffF.psi_product(k, theta=1.0)
+    F = PsiCutoff(k, theta=1.0)
     I, J = _grid_I_J_refined.__wrapped__(F)
     monkeypatch.setattr(sieve_weights, "_trap_conv", _trap_conv_direct)
     I_ref, J_ref = _grid_I_J_refined.__wrapped__(F)
     assert I == pytest.approx(I_ref, rel=1e-12, abs=0)
     assert J == pytest.approx(J_ref, rel=1e-12, abs=0)
-
-
-def test_psi_cutoff_value_fft_matches_direct(monkeypatch):
-    points = []
-    for k in range(2, 7):
-        R = CutoffF.psi_product(k, theta=1.0, eps_k=0.1).simplex_cap
-        points += [(k, [0.0] * k), (k, [R / (3 * k)] * k), (k, [R / 2] + [0.0] * (k - 1))]
-    got = [cutoff_value(CutoffF.psi_product(k, theta=1.0, eps_k=0.1), t) for k, t in points]
-    monkeypatch.setattr(sieve_weights, "_trap_conv", _trap_conv_direct)
-    want = [cutoff_value(CutoffF.psi_product(k, theta=1.0, eps_k=0.1), t) for k, t in points]
-    for g, w in zip(got, want):
-        assert g == pytest.approx(w, rel=1e-12, abs=0)
