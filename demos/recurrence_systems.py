@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from primevisit import (
     Mobius,
-    RealNumberSpec,
+    Quadratic,
     Rotation,
     Shift,
     UnimodularMatrix,
@@ -24,6 +24,7 @@ from primevisit import (
     prime_visit_times,
     verify_certificate,
 )
+from primevisit.exactreal import QuadExt
 
 print("== right shift on Z/q: progressions as dynamics ==")
 shift = Shift(4)
@@ -32,11 +33,11 @@ print("(exactly the primes = 1 mod 4)")
 
 print()
 print("== circle rotation: returns come from convergents ==")
-rot = Rotation(RealNumberSpec.golden())
+rot = Rotation(Quadratic.golden())
 for eps in (Fraction(1, 10), Fraction(1, 1000)):
     print(f"first return within {float(eps)}: {first_return(rot, 0, eps)}")
 
-rep = kac_empirical(Rotation(RealNumberSpec.quadratic(-1, 1, 2)),
+rep = kac_empirical(Rotation(Quadratic(QuadExt(-1, 1, 2))),
                     0, 0.05, n_samples=10**4, cap=10**4, seed=0)
 print(f"mean return to a 0.1-arc over 10^4 samples: {rep.mean_return:.3f} "
       f"(expected 1/mu = {rep.target:.0f})")

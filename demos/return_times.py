@@ -12,19 +12,22 @@ lower bound genuinely fails for unbounded quotients.
 from fractions import Fraction
 
 from primevisit import (
-    RealNumberSpec,
+    Quadratic,
+    Quotients,
+    Rational,
     cf_expand,
     check_prop71,
     return_time,
     return_time_bruteforce,
     type_estimate,
 )
+from primevisit.exactreal import QuadExt
 
-golden = RealNumberSpec.golden()
-sqrt2 = RealNumberSpec.quadratic(-1, 1, 2)
+golden = Quadratic.golden()
+sqrt2 = Quadratic(QuadExt(-1, 1, 2))
 
 print("== continued fractions ==")
-for spec in (RealNumberSpec.rational(355, 113), golden, sqrt2):
+for spec in (Rational(Fraction(355, 113)), golden, sqrt2):
     cf = cf_expand(spec, 10)
     print(f"{spec.describe():>22}: {list(cf.partial_quotients)}"
           + (f" (period {cf.period})" if cf.period else ""))
@@ -50,7 +53,7 @@ for spec, A in ((golden, 1), (sqrt2, 2)):
 
 print()
 print("== unbounded quotients break the lower bound ==")
-growing = RealNumberSpec.from_quotients([0] + list(range(1, 26)))
+growing = Quotients([0] + list(range(1, 26)))
 qs = [q for _, q in cf_expand(growing, 16).convergents]
 print(f"quotients a_n = n: denominators {qs[:11]} ...")
 for k in (8, 10, 12):
@@ -62,7 +65,7 @@ for k in (8, 10, 12):
 
 print()
 print("== approximation type from finite data (estimates) ==")
-liouville = RealNumberSpec.from_quotients([0] + [10 ** (2**i) for i in range(6)])
+liouville = Quotients([0] + [10 ** (2**i) for i in range(6)])
 for name, spec, depth in (
     ("golden", golden, 30),
     ("sqrt(2)-1", sqrt2, 30),

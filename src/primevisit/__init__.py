@@ -33,6 +33,10 @@ from .sieve_weights import (
 )
 from .contfrac import (
     ContinuedFraction,
+    Decimal,
+    Quadratic,
+    Quotients,
+    Rational,
     RealNumberSpec,
     ReturnTimeReport,
     cf_expand,

@@ -21,7 +21,8 @@ from .clusters import (
     theorem11_report,
 )
 from .contfrac import (
-    RealNumberSpec,
+    Quadratic,
+    Quotients,
     cf_expand,
     check_prop71,
     return_time,
@@ -40,6 +41,7 @@ from .dynamics import (
     reduce_fundamental,
     verify_certificate,
 )
+from .exactreal import QuadExt
 from .primes import divisor_count, factorize
 from .sieve_weights import (
     PiecewiseLinear,
@@ -102,12 +104,10 @@ def _random_quadratics(n: int, seed: int):
         b = Fraction(int(rng.integers(1, 6)), int(rng.integers(1, 8)))
         if rng.integers(0, 2):
             b = -b
-        from .exactreal import QuadExt
-
         val = QuadExt(a, b, d).frac()
         if val.is_rational:
             continue
-        out.append(RealNumberSpec.quadratic(val.a, val.b, val.d))
+        out.append(Quadratic(val))
     return out
 
 
@@ -137,7 +137,7 @@ def c04_return_time_bounds():
     a synthetic expansion with quotients a_n = n violates tau >= 0.1/eps at
     three grid points at least."""
     eps_grid = [Fraction(1, 10**j) for j in range(1, 7)]
-    for alpha, A in ((RealNumberSpec.golden(), 1), (RealNumberSpec.quadratic(-1, 1, 2), 2)):
+    for alpha, A in ((Quadratic.golden(), 1), (Quadratic(QuadExt(-1, 1, 2)), 2)):
         rows = check_prop71(alpha, eps_grid)
         for r in rows:
             if r.lower_kind != "bounded-quotient" or not (r.lower_ok and r.upper_ok):
@@ -146,7 +146,7 @@ def c04_return_time_bounds():
                     f"tau={r.tau} outside [{r.lower:.1f}, {r.upper}]"
                 ), 60.0
 
-    growing = RealNumberSpec.from_quotients([0] + list(range(1, 26)))
+    growing = Quotients([0] + list(range(1, 26)))
     qs = [q for _, q in cf_expand(growing, 20).convergents]
     violations = 0
     for k in range(1, 13):
@@ -171,7 +171,7 @@ def c04_return_time_bounds():
 def c05_kac():
     """Rotation by sqrt2-1, eps=0.05, 10^4 samples: mean within 10% of 10."""
     rep = kac_empirical(
-        Rotation(RealNumberSpec.quadratic(-1, 1, 2)),
+        Rotation(Quadratic(QuadExt(-1, 1, 2))),
         0, 0.05, n_samples=10**4, cap=10**4, seed=_SEED,
     )
     ok = rep.relative_error < 0.10 and rep.censored == 0
@@ -422,7 +422,7 @@ def _fibonacci_set(limit: int) -> set:
 def c11_certificates():
     """Golden rotation and a parabolic shear Moebius action both produce
     certificates that re-verify with certified arithmetic."""
-    rot = Rotation(RealNumberSpec.golden())
+    rot = Rotation(Quadratic.golden())
     cert = early_visit_search(rot, 0, Fraction(1, 10), 2, 270)
     ok, det = verify_certificate(rot, cert, 0)
     if not ok:

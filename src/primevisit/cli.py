@@ -144,7 +144,9 @@ def _build_system(args):
 
 def _build_cutoff(args) -> CutoffF:
     if args.family == "tensor":
-        return TensorCutoff.ramp(args.k, args.support)
+        F = TensorCutoff.ramp(args.k, args.support)
+        F.check_support(args.theta, args.eps_k or 0.0)
+        return F
     return PsiCutoff(args.k, theta=args.theta, eps_k=args.eps_k)
 
 

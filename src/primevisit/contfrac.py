@@ -1,5 +1,9 @@
 """Continued fractions and first-return times for circle rotations.
 
+The angle alpha is a `Rational`, a `Quadratic` irrational, a `Quotients`
+list or a `Decimal` literal: one class per kind of real number, each with
+its own enclosure and expansion.  `RealNumberSpec.parse` reads the CLI syntax.
+
 tau_eps(alpha) = min{n >= 1 : ||n*alpha|| < eps} is computed two ways: via
 convergents (the minimizer is always a convergent denominator, by the best
 rational approximation property) and by certified brute-force scan.  Both
@@ -7,8 +11,10 @@ paths decide every comparison exactly (quadratic-field arithmetic) or with
 certified rational intervals (decimal / truncated inputs).
 """
 
-from dataclasses import dataclass, field
+import decimal
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, log
 from typing import Optional, Sequence, Union
 
@@ -20,138 +26,8 @@ from .exactreal import QuadExt, RatInterval, _floor_surd, _surd_form, sqrt_inter
 Number = Union[int, float, Fraction]
 
 
-def _to_fraction(x: Number) -> Fraction:
-    # Fraction(float) is exact (binary value); strings go through Fraction too
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 # ---------------------------------------------------------------------------
-# alpha specifications
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RealNumberSpec:
-    """A real number given exactly (rational, quadratic irrational, explicit
-    partial quotients) or approximately (decimal literal with half-ulp bound).
-    """
-
-    kind: str  # 'rational' | 'quadratic' | 'decimal' | 'quotients'
-    rat: Optional[Fraction] = None
-    quad: Optional[QuadExt] = None
-    digits: Optional[str] = None
-    quotients: Optional[tuple[int, ...]] = None
-
-    # --- constructors ---------------------------------------------------
-
-    @classmethod
-    def rational(cls, p, q=None) -> "RealNumberSpec":
-        v = Fraction(p, q) if q is not None else Fraction(p)
-        return cls(kind="rational", rat=v)
-
-    @classmethod
-    def quadratic(cls, a, b, d: int) -> "RealNumberSpec":
-        x = QuadExt(Fraction(a), Fraction(b), d)
-        if x.is_rational:
-            return cls(kind="rational", rat=x.a)
-        return cls(kind="quadratic", quad=x)
-
-    @classmethod
-    def golden(cls) -> "RealNumberSpec":
-        """(sqrt(5) - 1) / 2."""
-        return cls(kind="quadratic", quad=QuadExt.golden())
-
-    @classmethod
-    def decimal(cls, digits: str) -> "RealNumberSpec":
-        Fraction(digits)  # validate
-        return cls(kind="decimal", digits=digits)
-
-    @classmethod
-    def from_quotients(cls, quotients: Sequence[int]) -> "RealNumberSpec":
-        qs = tuple(int(a) for a in quotients)
-        if len(qs) < 2:
-            raise UsageError("need at least [a0; a1]")
-        if any(a < 1 for a in qs[1:]):
-            raise UsageError("partial quotients a_j must be >= 1 for j >= 1")
-        return cls(kind="quotients", quotients=qs)
-
-    @classmethod
-    def parse(cls, text: str) -> "RealNumberSpec":
-        """CLI syntax: 'p/q', 'sqrt:d:a:b' (a + b*sqrt(d)), 'dec:<digits>',
-        'cf:a0,a1,...', or the alias 'golden'."""
-        text = text.strip()
-        if text == "golden":
-            return cls.golden()
-        if text.startswith("sqrt:"):
-            _, d, a, b = text.split(":")
-            return cls.quadratic(Fraction(a), Fraction(b), int(d))
-        if text.startswith("dec:"):
-            return cls.decimal(text[4:])
-        if text.startswith("cf:"):
-            return cls.from_quotients([int(t) for t in text[3:].split(",")])
-        if "/" in text:
-            p, q = text.split("/")
-            return cls.rational(int(p), int(q))
-        raise UsageError(f"cannot parse alpha spec {text!r}")
-
-    # --- value access -----------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind in ("rational", "quadratic", "quotients")
-
-    def exact_value(self) -> Optional[QuadExt]:
-        """Exact field representation, when one exists."""
-        if self.kind == "rational":
-            return QuadExt(self.rat)
-        if self.kind == "quadratic":
-            return self.quad
-        return None
-
-    def interval(self, depth: Optional[int] = None) -> RatInterval:
-        """Certified rational enclosure."""
-        if self.kind == "rational":
-            return RatInterval(self.rat, self.rat)
-        if self.kind == "quadratic":
-            x = self.quad
-            s = sqrt_interval(x.d)
-            if x.b >= 0:
-                return RatInterval(x.a + x.b * s.lo, x.a + x.b * s.hi)
-            return RatInterval(x.a + x.b * s.hi, x.a + x.b * s.lo)
-        if self.kind == "decimal":
-            v = Fraction(self.digits)
-            places = len(self.digits.split(".")[1]) if "." in self.digits else 0
-            half_ulp = Fraction(1, 2 * 10**places)
-            return RatInterval(v - half_ulp, v + half_ulp)
-        # quotients: bracket by two consecutive deep convergents
-        conv = _convergents(self.quotients if depth is None else self.quotients[:depth])
-        if len(conv) < 2:
-            raise PrecisionExhausted("need two convergents to bracket")
-        (p1, q1), (p2, q2) = conv[-2], conv[-1]
-        lo, hi = sorted((Fraction(p1, q1), Fraction(p2, q2)))
-        return RatInterval(lo, hi)
-
-    def __float__(self) -> float:
-        if self.kind == "quadratic":
-            return float(self.quad)
-        iv = self.interval()
-        return float((iv.lo + iv.hi) / 2)
-
-    def describe(self) -> str:
-        if self.kind == "rational":
-            return f"{self.rat.numerator}/{self.rat.denominator}"
-        if self.kind == "quadratic":
-            x = self.quad
-            return f"{x.a}+{x.b}*sqrt({x.d})"
-        if self.kind == "decimal":
-            return f"dec:{self.digits}"
-        qs = ",".join(map(str, self.quotients[:8]))
-        more = "..." if len(self.quotients) > 8 else ""
-        return f"cf:[{qs}{more}]"
-
-
-# ---------------------------------------------------------------------------
-# expansion
+# expansions
 # ---------------------------------------------------------------------------
 
 
@@ -160,10 +36,13 @@ class ContinuedFraction:
     """Partial quotients a_0; a_1, a_2, ... with their convergents p_n/q_n."""
 
     partial_quotients: tuple[int, ...]
-    convergents: tuple[tuple[int, int], ...]
-    exact: bool
+    exact: bool = True
     terminated: bool = False  # rational input fully expanded
     period: Optional[int] = None  # quadratic inputs: length of the cycle
+
+    @cached_property
+    def convergents(self) -> tuple[tuple[int, int], ...]:
+        return tuple(_convergents(self.partial_quotients))
 
     @property
     def depth(self) -> int:
@@ -172,72 +51,250 @@ class ContinuedFraction:
 
 def _convergents(quotients: Sequence[int]) -> list[tuple[int, int]]:
     out = []
-    p_prev, q_prev = 1, 0
-    p, q = None, None
+    p, q, p_prev, q_prev = 1, 0, 0, 1  # (p_-1, q_-1) and (p_-2, q_-2)
     for a in quotients:
-        if p is None:
-            p, q = a, 1
-        else:
-            p, q, p_prev, q_prev = a * p + p_prev, a * q + q_prev, p, q
+        p, q, p_prev, q_prev = a * p + p_prev, a * q + q_prev, p, q
         out.append((p, q))
     return out
 
 
-def _expand_rational(x: Fraction) -> list[int]:
-    p, q = x.numerator, x.denominator
-    out = []
-    while q:
-        a, r = divmod(p, q)
-        out.append(a)
-        p, q = q, r
-    return out
+# ---------------------------------------------------------------------------
+# alpha specifications: one class per kind of real number
+# ---------------------------------------------------------------------------
 
 
-def _expand_quadratic(x: QuadExt, depth: int) -> tuple[list[int], Optional[int]]:
-    """Surd algorithm on (P + sqrt(D))/Q; returns quotients and period length."""
-    P, D, Q = _surd_form(x)
-    if (D - P * P) % Q != 0:
-        P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+class RealNumberSpec:
+    """A real number given exactly (`Rational`, `Quadratic`, `Quotients`)
+    or approximately (`Decimal`).  Subclasses give `interval()`,
+    `expand(depth)` and `describe()`; `parse` builds one from CLI text."""
 
-    quotients: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
-    period = None
-    while len(quotients) < depth:
-        state = (P, Q)
-        if state in seen:
-            period = len(quotients) - seen[state]
-            break
-        seen[state] = len(quotients)
-        a = _floor_surd(P, D, Q)
-        quotients.append(a)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-    if period is not None:
-        start = seen[(P, Q)]
-        cycle = quotients[start : start + period]
-        while len(quotients) < depth:
-            quotients.append(cycle[(len(quotients) - start) % period])
-    return quotients, period
-
-
-def _expand_decimal(spec: RealNumberSpec, depth: int) -> list[int]:
-    """Interval expansion: emit a quotient only when the whole enclosure
-    agrees on its floor; stop (truncate) as soon as it does not."""
-    iv = spec.interval()
-    out = []
-    while len(out) < depth:
+    @staticmethod
+    def parse(text: str) -> "RealNumberSpec":
+        """CLI syntax: 'p/q', 'sqrt:d:a:b' (a + b*sqrt(d)), 'dec:<digits>',
+        'cf:a0,a1,...', or the alias 'golden'; anything else is a UsageError."""
+        text = text.strip()
         try:
-            a = iv.certain_floor()
-        except PrecisionExhausted:
-            break
-        out.append(a)
-        frac = RatInterval(iv.lo - a, iv.hi - a)
-        if frac.lo <= 0:  # could be exact here; cannot certify further
-            break
-        iv = frac.recip()
-    if not out:
-        raise PrecisionExhausted("cannot certify even the first quotient")
-    return out
+            if text == "golden":
+                return Quadratic.golden()
+            if text.startswith("sqrt:"):
+                _, d, a, b = text.split(":")
+                x = QuadExt(Fraction(a), Fraction(b), int(d))
+                return Rational(x.a) if x.is_rational else Quadratic(x)
+            if text.startswith("dec:"):
+                return Decimal(text[4:])
+            if text.startswith("cf:"):
+                return Quotients(tuple(int(t) for t in text[3:].split(",")))
+            if "/" in text:
+                p, q = text.split("/")
+                return Rational(Fraction(int(p), int(q)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"cannot parse alpha spec {text!r}") from exc
+        raise UsageError(f"cannot parse alpha spec {text!r}")
+
+    def exact_value(self) -> Optional[QuadExt]:
+        """Exact field representation, when one exists."""
+        return None
+
+    def interval(self) -> RatInterval:
+        """Certified rational enclosure."""
+        raise NotImplementedError
+
+    def expand(self, depth: int) -> ContinuedFraction:
+        """Up to `depth` partial quotients; see `cf_expand`."""
+        raise NotImplementedError
+
+    def __float__(self) -> float:
+        iv = self.interval()
+        return float((iv.lo + iv.hi) / 2)
+
+    def dist_enclosure(self, n: int, eps: Optional[Fraction] = None) -> RatInterval:
+        """Certified enclosure of ||n*alpha||, narrow enough to decide
+        ||n*alpha|| < eps when eps is given."""
+        out = (self.interval() * n).dist_to_nearest_int()
+        if eps is not None:
+            out.compare_lt(eps)
+        return out
+
+    def max_partial_quotient(self) -> Optional[int]:
+        """max a_n over n >= 1 when it is proven, else None."""
+        return None
+
+
+@dataclass(frozen=True)
+class Rational(RealNumberSpec):
+    """p/q, exact; its expansion terminates."""
+
+    value: Fraction
+
+    def exact_value(self) -> QuadExt:
+        return QuadExt(self.value)
+
+    def interval(self) -> RatInterval:
+        return RatInterval(self.value, self.value)
+
+    def expand(self, depth: int) -> ContinuedFraction:
+        p, q = self.value.numerator, self.value.denominator
+        qs = []
+        while q:
+            a, r = divmod(p, q)
+            qs.append(a)
+            p, q = q, r
+        return ContinuedFraction(tuple(qs[:depth]), terminated=len(qs) <= depth)
+
+    def describe(self) -> str:
+        return f"{self.value.numerator}/{self.value.denominator}"
+
+
+@dataclass(frozen=True)
+class Quadratic(RealNumberSpec):
+    """An irrational a + b*sqrt(d), exact; its expansion is periodic from
+    some point on (Lagrange)."""
+
+    x: QuadExt
+
+    def __post_init__(self):
+        if self.x.is_rational:
+            raise UsageError(f"{self.x!r} is rational; use Rational")
+
+    @classmethod
+    def golden(cls) -> "Quadratic":
+        """(sqrt(5) - 1) / 2."""
+        return cls(QuadExt.golden())
+
+    def exact_value(self) -> QuadExt:
+        return self.x
+
+    def interval(self) -> RatInterval:
+        x = self.x
+        s = sqrt_interval(x.d)
+        return RatInterval(*sorted((x.a + x.b * s.lo, x.a + x.b * s.hi)))
+
+    def expand(self, depth: int) -> ContinuedFraction:
+        """Surd algorithm on (P + sqrt(D))/Q; the cycle is detected from a
+        repeated (P, Q) state and unrolled to the requested depth."""
+        P, D, Q = _surd_form(self.x)
+        if (D - P * P) % Q != 0:
+            P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+
+        quotients: list[int] = []
+        seen: dict[tuple[int, int], int] = {}
+        period = None
+        while len(quotients) < depth:
+            state = (P, Q)
+            if state in seen:
+                period = len(quotients) - seen[state]
+                break
+            seen[state] = len(quotients)
+            a = _floor_surd(P, D, Q)
+            quotients.append(a)
+            P = a * Q - P
+            Q = (D - P * P) // Q
+        if period is not None:
+            start = seen[(P, Q)]
+            cycle = quotients[start : start + period]
+            while len(quotients) < depth:
+                quotients.append(cycle[(len(quotients) - start) % period])
+        return ContinuedFraction(tuple(quotients), period=period)
+
+    def __float__(self) -> float:
+        return float(self.x)
+
+    def describe(self) -> str:
+        return f"{self.x.a}+{self.x.b}*sqrt({self.x.d})"
+
+    def max_partial_quotient(self) -> Optional[int]:
+        """Exact, read off one full period; None when the period is not
+        confirmed within 2^16 quotients."""
+        depth = 128
+        while (cf := cf_expand(self, depth)).period is None and depth < 1 << 16:
+            depth *= 2
+        return None if cf.period is None else max(cf.partial_quotients[1:])
+
+
+@dataclass(frozen=True)
+class Decimal(RealNumberSpec):
+    """A finite decimal literal such as '0.618' or '6.18e-1', standing for
+    an unknown real within half a unit of its last place."""
+
+    digits: str
+
+    def __post_init__(self):
+        # with InvalidOperation untrapped, text that is no number reads as NaN
+        if not decimal.Decimal(self.digits, decimal.Context(traps=[])).is_finite():
+            raise UsageError(f"not a finite decimal literal: {self.digits!r}")
+
+    @property
+    def value(self) -> Fraction:
+        """The literal's own exact value."""
+        return Fraction(decimal.Decimal(self.digits))
+
+    def interval(self) -> RatInterval:
+        d = decimal.Decimal(self.digits)
+        half_ulp = Fraction(10) ** d.as_tuple().exponent / 2
+        return RatInterval(Fraction(d) - half_ulp, Fraction(d) + half_ulp)
+
+    def expand(self, depth: int) -> ContinuedFraction:
+        """Interval expansion: emit a quotient only when the whole enclosure
+        agrees on its floor; stop (truncate) as soon as it does not."""
+        iv = self.interval()
+        out = []
+        while len(out) < depth:
+            try:
+                a = iv.certain_floor()
+            except PrecisionExhausted:
+                break
+            out.append(a)
+            frac = RatInterval(iv.lo - a, iv.hi - a)
+            if frac.lo <= 0:  # could be exact here; cannot certify further
+                break
+            iv = frac.recip()
+        if not out:
+            raise PrecisionExhausted("cannot certify even the first quotient")
+        return ContinuedFraction(tuple(out), exact=False)
+
+    def describe(self) -> str:
+        return f"dec:{self.digits}"
+
+
+@dataclass(frozen=True)
+class Quotients(RealNumberSpec):
+    """[a_0; a_1, ..., a_n], an explicit list of partial quotients: exact
+    as far as it goes, enclosed by its last two convergents."""
+
+    quotients: tuple[int, ...]
+
+    def __post_init__(self):
+        qs = tuple(int(a) for a in self.quotients)
+        if len(qs) < 2:
+            raise UsageError("need at least [a0; a1]")
+        if any(a < 1 for a in qs[1:]):
+            raise UsageError("partial quotients a_j must be >= 1 for j >= 1")
+        object.__setattr__(self, "quotients", qs)
+
+    def interval(self) -> RatInterval:
+        """Between the last two convergents: every real whose expansion
+        starts with the list lies there."""
+        (p1, q1), (p2, q2) = _convergents(self.quotients)[-2:]
+        return RatInterval(*sorted((Fraction(p1, q1), Fraction(p2, q2))))
+
+    def expand(self, depth: int) -> ContinuedFraction:
+        return ContinuedFraction(self.quotients[:depth])
+
+    def dist_enclosure(self, n: int, eps: Optional[Fraction] = None) -> RatInterval:
+        """Tries the first 8, 16, ... quotients before the whole list: the
+        shallower enclosure is cheaper, and often narrow enough."""
+        d = 8
+        while d < len(self.quotients):
+            try:
+                return RealNumberSpec.dist_enclosure(Quotients(self.quotients[:d]), n, eps)
+            except PrecisionExhausted:
+                d *= 2
+        return super().dist_enclosure(n, eps)
+
+    def describe(self) -> str:
+        qs = ",".join(map(str, self.quotients[:8]))
+        more = "..." if len(self.quotients) > 8 else ""
+        return f"cf:[{qs}{more}]"
 
 
 def cf_expand(alpha: RealNumberSpec, depth: int) -> ContinuedFraction:
@@ -249,26 +306,7 @@ def cf_expand(alpha: RealNumberSpec, depth: int) -> ContinuedFraction:
     """
     if depth < 1:
         raise UsageError(f"depth must be >= 1, got {depth}")
-    period = None
-    terminated = False
-    exact = alpha.is_exact
-    if alpha.kind == "rational":
-        qs = _expand_rational(alpha.rat)
-        terminated = len(qs) <= depth
-        qs = qs[:depth]
-    elif alpha.kind == "quadratic":
-        qs, period = _expand_quadratic(alpha.quad, depth)
-    elif alpha.kind == "quotients":
-        qs = list(alpha.quotients[:depth])
-    else:
-        qs = _expand_decimal(alpha, depth)
-    return ContinuedFraction(
-        partial_quotients=tuple(qs),
-        convergents=tuple(_convergents(qs)),
-        exact=exact,
-        terminated=terminated,
-        period=period,
-    )
+    return alpha.expand(depth)
 
 
 # ---------------------------------------------------------------------------
@@ -286,31 +324,12 @@ class ReturnTimeReport:
     achieved_error: float = 0.0  # half-width of the enclosure (interval inputs)
 
 
-def _dist_enclosure(
-    alpha: RealNumberSpec, n: int, eps: Optional[Fraction] = None
-) -> RatInterval:
-    """Certified enclosure of ||n*alpha||, narrow enough to decide
-    ||n*alpha|| < eps when eps is given.  Quotient-list inputs double their
-    truncation depth until it is; other inputs have one fixed enclosure."""
-    d = 8
-    while True:
-        try:
-            out = (alpha.interval(depth=d) * n).dist_to_nearest_int()
-            if eps is not None:
-                out.compare_lt(eps)
-            return out
-        except PrecisionExhausted:
-            if alpha.kind != "quotients" or d >= len(alpha.quotients):
-                raise
-            d *= 2
-
-
 def _dist_lt(alpha: RealNumberSpec, n: int, eps: Fraction) -> bool:
     """Certified ||n*alpha|| < eps."""
     x = alpha.exact_value()
     if x is not None:
         return (x * n).dist_to_nearest_int() < eps
-    return _dist_enclosure(alpha, n, eps).compare_lt(eps)
+    return alpha.dist_enclosure(n, eps).compare_lt(eps)
 
 
 def _dist_value(alpha: RealNumberSpec, n: int) -> tuple[float, float]:
@@ -319,7 +338,7 @@ def _dist_value(alpha: RealNumberSpec, n: int) -> tuple[float, float]:
     x = alpha.exact_value()
     if x is not None:
         return float((x * n).dist_to_nearest_int()), 0.0
-    iv = _dist_enclosure(alpha, n)
+    iv = alpha.dist_enclosure(n)
     return float((iv.lo + iv.hi) / 2), float(iv.width / 2)
 
 
@@ -334,7 +353,7 @@ def return_time(alpha: RealNumberSpec, epsilon: Number) -> ReturnTimeReport:
     q_0 < q_1 < ... and stop at the first one below eps.  Comparisons are
     exact (or certified); ties at exactly eps count as not inside.
     """
-    eps = _to_fraction(epsilon)
+    eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, 2):
         raise UsageError(f"epsilon must be in (0, 1/2), got {float(eps)}")
 
@@ -351,7 +370,7 @@ def return_time(alpha: RealNumberSpec, epsilon: Number) -> ReturnTimeReport:
                 return ReturnTimeReport(
                     alpha, eps, q_n, achieved, "convergent", achieved_error=err
                 )
-        if cf.terminated or (alpha.kind == "quotients" and cf.depth >= len(alpha.quotients)) or (alpha.kind == "decimal" and cf.depth < depth):
+        if cf.terminated or cf.depth < depth:
             raise PrecisionExhausted(
                 f"expansion exhausted at depth {cf.depth} before ||n*alpha|| < "
                 f"{float(eps)} was certified"
@@ -373,18 +392,12 @@ def return_time_bruteforce(
     can have ||n*alpha|| < eps, by an explicit error margin; candidates are
     confirmed exactly in increasing order.
     """
-    eps = _to_fraction(epsilon)
+    eps = Fraction(epsilon)
     if cap < 1:
         raise UsageError(f"cap must be >= 1, got {cap}")
 
-    x = alpha.exact_value()
-    if x is not None:
-        a_float = float(x)
-        a_err = 2.0 ** -50
-    else:
-        iv = alpha.interval()
-        a_float = float((iv.lo + iv.hi) / 2)
-        a_err = float(iv.width / 2) + 2.0 ** -50
+    a_float = float(alpha)
+    a_err = float(alpha.interval().width / 2) + 2.0 ** -50
 
     eps_f = float(eps)
     for lo in range(1, cap + 1, _BRUTE_CHUNK):
@@ -476,24 +489,6 @@ class Prop71Row:
     lower_kind: str  # 'bounded-quotient' (c_alpha = (A+1)^-3) or 'envelope'
 
 
-def max_partial_quotient(alpha: RealNumberSpec, depth: int = 128) -> Optional[int]:
-    """max a_n over n >= 1; exact for quadratic inputs (needs one full
-    period), finite-data for quotient lists and decimals, None for rationals
-    or when the period cannot be confirmed."""
-    cf = cf_expand(alpha, depth)
-    if cf.terminated:
-        return None
-    if alpha.kind == "quadratic":
-        d = depth
-        while cf.period is None and d < 1 << 16:
-            d *= 2
-            cf = cf_expand(alpha, d)
-        if cf.period is None:  # unconfirmed: don't claim a bound
-            return None
-    tail = cf.partial_quotients[1:]
-    return max(tail) if tail else None
-
-
 def check_prop71(
     alpha: RealNumberSpec,
     epsilon_grid: Sequence[Number],
@@ -504,28 +499,27 @@ def check_prop71(
     A is unknown the lower bound is the almost-everywhere envelope
     eps^-1 (log eps^-1)^(-2(1+delta)) with test constant 1 (an envelope, not
     an asserted theorem constant)."""
-    A = max_partial_quotient(alpha)
+    A = alpha.max_partial_quotient()
     rows = []
     for e in epsilon_grid:
-        eps = _to_fraction(e)
+        eps = Fraction(e)
         rep = return_time(alpha, eps)
         tau = rep.tau
         upper = ceil(1 / eps)
-        if A is not None and alpha.kind == "quadratic":
-            c = Fraction(1, (A + 1) ** 3)
-            lower = c / eps
+        if A is not None:
+            lower = Fraction(1, (A + 1) ** 3) / eps
             lower_ok = tau >= lower
-            kind = "bounded-quotient"
+            lower_kind = "bounded-quotient"
             lower_f = float(lower)
         else:
             inv = float(1 / eps)
             lower_f = inv * log(inv) ** (-2 * (1 + delta))
             lower_ok = tau >= lower_f
-            kind = "envelope"
+            lower_kind = "envelope"
         rows.append(
             Prop71Row(
                 epsilon=eps, tau=tau, upper=upper, upper_ok=tau <= upper,
-                lower=lower_f, lower_ok=bool(lower_ok), lower_kind=kind,
+                lower=lower_f, lower_ok=bool(lower_ok), lower_kind=lower_kind,
             )
         )
     return rows

@@ -18,7 +18,8 @@ cheap).
 import json
 from dataclasses import dataclass, asdict
 from fractions import Fraction
-from math import asinh, ceil, cosh, sinh, sqrt
+from itertools import count
+from math import asinh, ceil, sinh, sqrt
 from typing import Optional, Union
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .exactreal import QuadExt
 from .clusters import min_pm, default_cap
-from .contfrac import RealNumberSpec, return_time
+from .contfrac import Decimal, Rational, RealNumberSpec, return_time
 from .primes import is_prime, iter_prime_segments, primes_in_ap
 
 Scalar = Union[int, float, Fraction]
@@ -286,33 +287,34 @@ def quotient_distance(z: UpperHalfPoint, w: UpperHalfPoint) -> QuotientDistance:
     )
 
 
-def _cosh_m1_threshold(eps: Fraction) -> tuple[float, float]:
-    """cosh(eps) - 1 with a guard band for certified float comparisons."""
-    t = cosh(float(eps)) - 1.0
-    return t, max(1e-14, 1e-9 * t)
-
-
 def _cosh_m1_lt(value: Scalar, eps: Fraction) -> bool:
-    """Certified cosh(d) - 1 < cosh(eps) - 1, escalating to high precision
-    near the boundary (exact rational `value` vs transcendental threshold)."""
-    t, band = _cosh_m1_threshold(eps)
-    v = float(value)
-    if v < t - band:
-        return True
-    if v > t + band:
-        return False
-    import mpmath
+    """Certified cosh(d) - 1 < cosh(eps) - 1, given value = cosh(d) - 1.
 
-    with mpmath.workdps(60):
-        thresh = mpmath.cosh(mpmath.mpf(eps.numerator) / eps.denominator) - 1
-        if isinstance(value, (int, Fraction)):
-            value = Fraction(value)
-            vv = mpmath.mpf(value.numerator) / value.denominator
-        else:
-            vv = mpmath.mpf(value)
-        if abs(vv - thresh) < mpmath.mpf(10) ** -40:
-            raise PrecisionExhausted("distance sits exactly at the threshold")
-        return vv < thresh
+    Sums cosh(eps) - 1 = sum_{n>=1} eps^(2n)/(2n)! in integers over the
+    common denominator q^n (2n)!.  A partial sum above the value answers
+    True.  Once the term ratio is at most 1/2 (it falls with n) the tail is
+    at most twice the next term, and a partial sum plus that bound at or
+    below the value answers False.  For rational eps != 0 the threshold is
+    transcendental (Lindemann-Weierstrass), so it is never equal to the
+    value; the work is bounded by refusing values within 2^-(4b + 64) of
+    it, b the inputs' bit size.
+    """
+    a, b = Fraction(value).as_integer_ratio()  # value = a/b
+    p, q = eps.numerator ** 2, eps.denominator ** 2  # eps^2 = p/q
+    floor_bits = 4 * sum(x.bit_length() for x in (a, b, p, q)) + 64
+    s = t = p  # partial sum s/den and its last term t/den
+    den = 2 * q
+    for n in count(1):
+        if s * b > a * den:
+            return True
+        m = q * (2 * n + 1) * (2 * n + 2)  # term n+1 = term n * p/m
+        s, t, den = s * m, t * p, den * m
+        if 2 * p <= m:  # t/den is now the next term, and the tail <= 2t/den
+            if (s + 2 * t) * b <= a * den:
+                return False
+            if (2 * t) << floor_bits < den:
+                raise PrecisionExhausted("distance too close to the threshold to decide")
+        s += t
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +449,11 @@ class Rotation(System):
     """
 
     def __init__(self, alpha: RealNumberSpec):
-        if alpha.kind == "decimal":
-            alpha = RealNumberSpec.rational(Fraction(alpha.digits))
-        if alpha.kind == "quotients":
-            raise InvalidParameter("rotation needs a rational/quadratic/decimal angle")
+        if isinstance(alpha, Decimal):
+            alpha = Rational(alpha.value)
         a = alpha.exact_value()
+        if a is None:
+            raise InvalidParameter("rotation needs a rational/quadratic/decimal angle")
         if not (QuadExt(0) < a and a < QuadExt(1)):
             raise InvalidParameter("alpha must lie in (0, 1)")
         self.alpha = alpha
@@ -517,7 +519,7 @@ class Rotation(System):
         that strip fixed, where iid draws let the mean stray by over 10%
         on some seeds.
         """
-        ergodic = self.alpha.kind != "rational"
+        ergodic = not self.a.is_rational
         af = float(self.alpha)
         x0f = self.point_float(x0)
         rng = np.random.default_rng(seed)
@@ -660,10 +662,7 @@ class EarlyVisitCertificate:
         d = asdict(self)
         d["primes"] = list(self.primes)
         d["distances"] = list(self.distances)
-        d["tolerances"] = {
-            "injectivity_guard": INJECTIVITY_GUARD,
-            "float_threshold_band_rel": 1e-9,
-        }
+        d["tolerances"] = {"injectivity_guard": INJECTIVITY_GUARD}
         return json.dumps(d, sort_keys=True, default=str)
 
 

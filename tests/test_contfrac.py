@@ -2,25 +2,30 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primevisit.errors import PrecisionExhausted, UsageError
 from primevisit.contfrac import (
+    Decimal,
+    Quadratic,
+    Quotients,
+    Rational,
     RealNumberSpec,
     cf_expand,
     check_prop71,
-    max_partial_quotient,
     return_time,
     return_time_bruteforce,
     type_estimate,
 )
 from primevisit.exactreal import QuadExt
 
-GOLDEN = RealNumberSpec.golden()
-SQRT2M1 = RealNumberSpec.quadratic(-1, 1, 2)
+GOLDEN = Quadratic.golden()
+SQRT2M1 = Quadratic(QuadExt(-1, 1, 2))
 
 
 def test_expand_rational():
-    cf = cf_expand(RealNumberSpec.rational(355, 113), 10)
+    cf = cf_expand(Rational(Fraction(355, 113)), 10)
     assert cf.partial_quotients == (3, 7, 16)
     assert cf.terminated and cf.exact
     assert cf.convergents[-1] == (355, 113)
@@ -34,14 +39,14 @@ def test_expand_quadratic_periodic():
     assert cf2.partial_quotients == (0,) + (2,) * 11
     assert cf2.period == 1
     # sqrt(7) = [2; 1,1,1,4 repeating]
-    cf3 = cf_expand(RealNumberSpec.quadratic(0, 1, 7), 14)
+    cf3 = cf_expand(Quadratic(QuadExt(0, 1, 7)), 14)
     assert cf3.partial_quotients[:9] == (2, 1, 1, 1, 4, 1, 1, 1, 4)
     assert cf3.period == 4
 
 
 def test_convergent_identities():
     # p_n q_{n-1} - p_{n-1} q_n = (-1)^{n-1}, q_n strictly increasing (n >= 1)
-    for spec in (GOLDEN, SQRT2M1, RealNumberSpec.quadratic(Fraction(1, 3), Fraction(2, 7), 13)):
+    for spec in (GOLDEN, SQRT2M1, Quadratic(QuadExt(Fraction(1, 3), Fraction(2, 7), 13))):
         cf = cf_expand(spec, 20)
         conv = cf.convergents
         for n in range(1, len(conv)):
@@ -64,7 +69,7 @@ def test_approximation_quality():
 
 
 def test_expand_decimal_truncates():
-    cf = cf_expand(RealNumberSpec.decimal("0.6180339887"), 40)
+    cf = cf_expand(Decimal("0.6180339887"), 40)
     # golden to 10 digits: the certified prefix must match the true expansion
     assert cf.partial_quotients[:10] == (0,) + (1,) * 9
     assert not cf.exact
@@ -74,7 +79,7 @@ def test_expand_decimal_truncates():
 def test_expand_decimal_too_coarse():
     with pytest.raises(PrecisionExhausted):
         # +- 0.05 straddles several quotients immediately after a0
-        rt = return_time(RealNumberSpec.decimal("0.6"), Fraction(1, 1000))
+        rt = return_time(Decimal("0.6"), Fraction(1, 1000))
 
 
 def test_return_time_examples():
@@ -82,7 +87,7 @@ def test_return_time_examples():
     rep = return_time(GOLDEN, Fraction(1, 10))
     assert rep.achieved == pytest.approx(0.09017, abs=1e-5)
     assert return_time(GOLDEN, Fraction(1, 20)).tau == 13
-    rep = return_time(RealNumberSpec.rational(1, 3), Fraction(2, 10))
+    rep = return_time(Rational(Fraction(1, 3)), Fraction(2, 10))
     assert rep.tau == 3 and rep.achieved == 0.0
 
 
@@ -95,7 +100,7 @@ def test_return_time_epsilon_validation():
 
 def test_bruteforce_examples():
     assert return_time_bruteforce(GOLDEN, Fraction(1, 10), 100).tau == 5
-    assert return_time_bruteforce(RealNumberSpec.rational(1, 2), Fraction(3, 10), 10).tau == 2
+    assert return_time_bruteforce(Rational(Fraction(1, 2)), Fraction(3, 10), 10).tau == 2
     t1 = return_time(SQRT2M1, Fraction(1, 10**4)).tau
     t2 = return_time_bruteforce(SQRT2M1, Fraction(1, 10**4), 10**4 + 1).tau
     assert t1 == t2 == 5741
@@ -110,7 +115,7 @@ def test_oracle_equivalence_random():
             Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 5))),
             d,
         ).frac()
-        spec = RealNumberSpec.quadratic(val.a, val.b, val.d)
+        spec = Quadratic(val)
         for eps in (Fraction(1, 10), Fraction(1, 97), Fraction(1, 1000)):
             cap = int(1 / eps) + 1
             assert return_time(spec, eps).tau == return_time_bruteforce(spec, eps, cap).tau
@@ -124,32 +129,32 @@ def test_tau_monotone_in_eps_and_symmetric():
     # tau_eps(alpha) = tau_eps(1 - alpha)
     g = QuadExt.golden()
     flipped = QuadExt(1) - g
-    spec = RealNumberSpec.quadratic(flipped.a, flipped.b, flipped.d)
+    spec = Quadratic(flipped)
     for eps in (Fraction(1, 10), Fraction(1, 50), Fraction(1, 997)):
         assert return_time(spec, eps).tau == return_time(GOLDEN, eps).tau
 
 
 def test_rational_tau_hits_denominator():
     # once eps is below every nonzero ||n alpha||, tau is the denominator
-    rep = return_time(RealNumberSpec.rational(3, 7), Fraction(1, 10**6))
+    rep = return_time(Rational(Fraction(3, 7)), Fraction(1, 10**6))
     assert rep.tau == 7 and rep.achieved == 0.0
 
 
 def test_decimal_return_times_match_exact():
     # 30 certified digits of the golden ratio reach tau at eps = 1e-5
-    g30 = RealNumberSpec.decimal("0.618033988749894848204586834366")
+    g30 = Decimal("0.618033988749894848204586834366")
     for eps in (Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10**5)):
         assert return_time(g30, eps).tau == return_time(GOLDEN, eps).tau
 
 
 def test_quotient_list_return_time():
-    spec = RealNumberSpec.from_quotients([0] + list(range(1, 20)))
+    spec = Quotients([0] + list(range(1, 20)))
     rep = return_time(spec, Fraction(1, 500))
     rb = return_time_bruteforce(spec, Fraction(1, 500), 600)
     assert rep.tau == rb.tau
     # the golden angle as a 41-term list: the first enclosure of
     # ||6765 alpha||, from 8 terms, is far too wide, so its depth must double
-    golden_list = RealNumberSpec.from_quotients([0] + [1] * 40)
+    golden_list = Quotients([0] + [1] * 40)
     rep = return_time(golden_list, Fraction(1, 10**4))
     exact = return_time(GOLDEN, Fraction(1, 10**4))
     assert rep.tau == exact.tau == 6765
@@ -163,21 +168,21 @@ def test_type_estimates():
     assert est.liminf_proxy == pytest.approx(1.0, abs=0.15)
     assert est.exponent_max == pytest.approx(1.0, abs=0.15)
 
-    assert not type_estimate(RealNumberSpec.rational(7, 13), 10).applicable
+    assert not type_estimate(Rational(Fraction(7, 13)), 10).applicable
 
-    liou = RealNumberSpec.from_quotients([0] + [10 ** (2**i) for i in range(6)])
+    liou = Quotients([0] + [10 ** (2**i) for i in range(6)])
     est = type_estimate(liou, 7)
     assert est.applicable and est.liminf_proxy < 0.7
 
 
 def test_max_partial_quotient():
-    assert max_partial_quotient(GOLDEN) == 1
-    assert max_partial_quotient(SQRT2M1) == 2
-    assert max_partial_quotient(RealNumberSpec.rational(3, 7)) is None
+    assert GOLDEN.max_partial_quotient() == 1
+    assert SQRT2M1.max_partial_quotient() == 2
+    assert Rational(Fraction(3, 7)).max_partial_quotient() is None
     # long-period surd (period 712): still confirmed by depth doubling;
     # 8084 cross-checked against a high-precision mpmath expansion
-    long_period = RealNumberSpec.quadratic(Fraction(29, 11), Fraction(-3, 2), 31)
-    assert max_partial_quotient(long_period) == 8084
+    long_period = Quadratic(QuadExt(Fraction(29, 11), Fraction(-3, 2), 31))
+    assert long_period.max_partial_quotient() == 8084
 
 
 def test_expansion_fuzz_quality():
@@ -193,7 +198,7 @@ def test_expansion_fuzz_quality():
         if x.is_rational:
             continue
         tested += 1
-        spec = RealNumberSpec.quadratic(x.a, x.b, x.d)
+        spec = Quadratic(x)
         cf = cf_expand(spec, 18)
         assert all(q >= 1 for q in cf.partial_quotients[1:])
         for n, (p, q) in enumerate(cf.convergents):
@@ -215,16 +220,79 @@ def test_prop71_rows():
 
 
 def test_prop71_envelope_for_decimal():
-    rows = check_prop71(RealNumberSpec.decimal("0.54627234601"), [Fraction(1, 10)])
+    rows = check_prop71(Decimal("0.54627234601"), [Fraction(1, 10)])
     assert rows[0].lower_kind == "envelope"
 
 
 def test_parse_roundtrip():
-    assert RealNumberSpec.parse("golden").kind == "quadratic"
-    assert RealNumberSpec.parse("3/7").rat == Fraction(3, 7)
+    assert RealNumberSpec.parse("golden") == Quadratic.golden()
+    assert RealNumberSpec.parse("3/7") == Rational(Fraction(3, 7))
     s = RealNumberSpec.parse("sqrt:2:-1:1")
-    assert s.kind == "quadratic" and float(s) == pytest.approx(0.41421356, abs=1e-8)
-    assert RealNumberSpec.parse("dec:0.125").kind == "decimal"
+    assert isinstance(s, Quadratic) and float(s) == pytest.approx(0.41421356, abs=1e-8)
+    assert RealNumberSpec.parse("sqrt:4:1:1") == Rational(Fraction(3))
+    assert RealNumberSpec.parse("dec:0.125") == Decimal("0.125")
     assert RealNumberSpec.parse("cf:0,1,2,3").quotients == (0, 1, 2, 3)
-    with pytest.raises(UsageError):
-        RealNumberSpec.parse("banana")
+    for bad in ("banana", "1/0", "sqrt:2:1", "sqrt:5:x:1", "sqrt:2:1/0:1", "cf:",
+                "cf:0,1,x", "dec:", "dec:abc", "dec:NaN", "dec:-inf", "dec:3/7"):
+        with pytest.raises(UsageError):
+            RealNumberSpec.parse(bad)
+
+
+def test_decimal_half_ulp_from_exponent():
+    # the exponent, not the digits after the point, fixes the last place
+    iv = Decimal("6.180339887e-1").interval()
+    iv2 = Decimal("0.6180339887").interval()
+    assert (iv.lo, iv.hi) == (iv2.lo, iv2.hi)
+    iv = Decimal("1.5e3").interval()
+    assert (iv.lo, iv.hi) == (1450, 1550)
+    # golden (tau = 317811) lies inside the literal's interval, so no
+    # smaller-than-golden return time may be certified from it
+    for text in ("6.180339887e-1", "0.6180339887"):
+        with pytest.raises(PrecisionExhausted):
+            return_time(Decimal(text), Fraction(1, 500000))
+
+
+@st.composite
+def _real_numbers(draw):
+    """One of the four kinds of real number, with small random data."""
+    which = draw(st.integers(0, 3))
+    if which == 0:
+        return Rational(draw(st.fractions(-50, 50, max_denominator=10**6)))
+    if which == 1:
+        d = draw(st.sampled_from([2, 3, 5, 6, 7, 13, 19, 31]))
+        a = draw(st.fractions(-20, 20, max_denominator=60))
+        b = draw(st.fractions(-20, 20, max_denominator=60).filter(bool))
+        return Quadratic(QuadExt(a, b, d))
+    if which == 2:
+        mantissa = draw(st.integers(-10**15, 10**15))
+        return Decimal(f"{mantissa}e{draw(st.integers(-18, 2))}")
+    head = draw(st.integers(-5, 5))
+    return Quotients([head] + draw(st.lists(st.integers(1, 10**4), min_size=1, max_size=30)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(x=_real_numbers())
+def test_enclosures_and_expansions_agree(x):
+    """interval() holds the exact value; a terminated expansion ends at
+    it; and the bracket of the quotient list that x expands to holds x (or
+    x's whole enclosure)."""
+    iv = x.interval()
+    exact = x.exact_value()
+    if exact is not None:
+        assert exact >= iv.lo and exact <= iv.hi
+    try:
+        cf = cf_expand(x, 12)
+    except PrecisionExhausted:  # a decimal too coarse for its integer part
+        return
+    if cf.terminated:
+        assert exact == Fraction(*cf.convergents[-1])
+    qs = cf.partial_quotients
+    if len(qs) < 2:  # an integer, or a decimal certain of a_0 only
+        return
+    prefix = Quotients(qs)
+    assert cf_expand(prefix, 12).partial_quotients == qs
+    bracket = prefix.interval()
+    if exact is not None:
+        assert exact >= bracket.lo and exact <= bracket.hi
+    else:
+        assert bracket.lo <= iv.lo and iv.hi <= bracket.hi

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from primevisit.errors import CapExceeded, InvalidParameter, SearchFailed, UsageError
 from primevisit.exactreal import QuadExt
-from primevisit.contfrac import RealNumberSpec
+from primevisit.contfrac import Quadratic, Rational
 from primevisit.clusters import pm
 from primevisit.dynamics import (
     Mobius,
@@ -19,6 +19,7 @@ from primevisit.dynamics import (
     System,
     UnimodularMatrix,
     UpperHalfPoint,
+    _cosh_m1_lt,
     early_visit_search,
     first_return,
     hyp_distance,
@@ -30,8 +31,8 @@ from primevisit.dynamics import (
     verify_certificate,
 )
 
-GOLDEN = RealNumberSpec.golden()
-SQRT2M1 = RealNumberSpec.quadratic(-1, 1, 2)
+GOLDEN = Quadratic.golden()
+SQRT2M1 = Quadratic(QuadExt(-1, 1, 2))
 
 
 # --- hyperbolic geometry -----------------------------------------------------
@@ -129,7 +130,7 @@ def test_rotation_system_basics():
     assert rot.ball_measure(0, 0.05) == pytest.approx(0.1)
     assert first_return(rot, 0, Fraction(1, 10)) == 5
     with pytest.raises(InvalidParameter):
-        Rotation(RealNumberSpec.rational(3, 2))
+        Rotation(Rational(Fraction(3, 2)))
 
 
 def test_rotation_isometry_and_measure_preservation():
@@ -185,6 +186,40 @@ def test_mobius_isometry_on_cover_and_quotient():
                                reduce_fundamental(gamma.act(w)).point)
         if d0.exact_region and d1.exact_region:
             assert d1.value == pytest.approx(d0.value, abs=1e-9)
+
+
+def test_mobius_threshold_decided_exactly():
+    import mpmath
+
+    mob = Mobius(UnimodularMatrix.exact(1, 1, 0, 1))
+    zi = UpperHalfPoint(Fraction(0), Fraction(1))
+    # distance 0 against a threshold cosh(eps) - 1 below 1e-40, and a
+    # threshold beyond float range
+    assert prime_visit_times(mob, zi, zi, Fraction(1, 10**21), 2, 1000) == [2, 3]
+    assert prime_visit_times(mob, zi, zi, 1000, 2, 1000) == [2, 3]
+    # 2i and 2ci, c the 70-digit e^(1/5): distance log c, about 1e-70 off
+    with mpmath.workdps(100):
+        c = Fraction(mpmath.nstr(mpmath.exp(mpmath.mpf(1) / 5), 70))
+        want = mpmath.log(mpmath.mpf(c.numerator) / c.denominator) < mpmath.mpf(1) / 5
+    z, w = UpperHalfPoint(Fraction(0), Fraction(2)), UpperHalfPoint(Fraction(0), 2 * c)
+    assert mob.dist_lt(z, w, Fraction(1, 5)) == want
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    eps=st.fractions(Fraction(1, 10**6), 50, max_denominator=10**6),
+    digits=st.integers(0, 60),
+    offset=st.integers(-2, 2),
+)
+def test_cosh_threshold_matches_mpmath(eps, digits, offset):
+    """Rationals within a few 10^-digits of cosh(eps) - 1, on both sides."""
+    import mpmath
+
+    with mpmath.workdps(200):
+        t = mpmath.cosh(mpmath.mpf(eps.numerator) / eps.denominator) - 1
+        v = Fraction(int(mpmath.floor(t * 10**digits)) + offset, 10**digits)
+        want = mpmath.mpf(v.numerator) / v.denominator < t
+    assert _cosh_m1_lt(v, eps) == want
 
 
 def test_mobius_doubling_ratio():
@@ -343,7 +378,7 @@ def test_kac_examples():
     assert rep.relative_error < 0.10
 
     rep = kac_empirical(
-        Rotation(RealNumberSpec.rational(1, 3)), 0, 0.01, 100, 100, seed=1
+        Rotation(Rational(Fraction(1, 3))), 0, 0.01, 100, 100, seed=1
     )
     assert not rep.ergodic
     assert rep.mean_return == 3.0  # period-3 cycle, not mu(B)^-1
@@ -387,12 +422,12 @@ def _angles(draw):
     """Quadratic angles a + b*sqrt(d) mod 1, and now and then a rational."""
     if draw(st.integers(0, 4)) == 0:
         den = draw(st.integers(2, 60))
-        return RealNumberSpec.rational(draw(st.integers(1, den - 1)), den)
+        return Rational(Fraction(draw(st.integers(1, den - 1)), den))
     d = draw(st.sampled_from([2, 3, 5, 6, 7, 10, 13, 19, 2026]))
     a = draw(st.fractions(min_value=-5, max_value=5, max_denominator=50))
     b = draw(st.fractions(min_value=-5, max_value=5, max_denominator=50).filter(bool))
     alpha = QuadExt(a, b, d).frac()
-    return RealNumberSpec.quadratic(alpha.a, alpha.b, alpha.d)
+    return Quadratic(alpha)
 
 
 _POINTS = st.fractions(min_value=-2, max_value=2, max_denominator=200)
@@ -409,7 +444,7 @@ _POINTS = st.fractions(min_value=-2, max_value=2, max_denominator=200)
     cap=st.integers(2, 3000),
 )
 # every prime but 3 lands exactly on the edge of the ball, which is open
-@example(alpha=RealNumberSpec.rational(1, 3), x0=Fraction(0), x=Fraction(0),
+@example(alpha=Rational(Fraction(1, 3)), x0=Fraction(0), x=Fraction(0),
          eps=Fraction(1, 3), m=2, cap=100)
 def test_rotation_fast_paths_match_generic_scans(alpha, x0, x, eps, m, cap):
     rot = Rotation(alpha)

@@ -122,6 +122,11 @@ def test_tensor_support_validation():
     for a in (1, 5):  # in and off the b0 class 1 mod 6
         with pytest.raises(InvalidParameter):
             weight(a, 101, params, F_bad, (0, 2))
+    # the weights command refuses it too, and reads --eps-k
+    argv = ["weights", "--family", "tensor", "--k", "2"]
+    assert main(argv + ["--support", "0.125"]) == 0
+    assert main(argv + ["--support", "0.2"]) == 2
+    assert main(argv + ["--support", "0.125", "--eps-k", "0.3"]) == 2
 
 
 def test_cutoff_tensor_values():
