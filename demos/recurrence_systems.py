@@ -55,7 +55,7 @@ print(f"re-verified from scratch: {ok}")
 
 print()
 print("== Moebius action on the modular surface ==")
-g = UnimodularMatrix.exact(1, Fraction(3, 10), 0, 1)
+g = UnimodularMatrix(1, Fraction(3, 10), 0, 1)
 mob = Mobius(g)
 x0 = UpperHalfPoint(Fraction(0), Fraction(1))
 print(f"g = shear by 3/10 (parabolic, g^10 lands in the modular group)")

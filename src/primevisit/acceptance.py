@@ -242,10 +242,8 @@ def c06_weight_oracle():
 
 
 def _quad_deriv(f: PiecewiseLinear, square: bool) -> float:
-    """int_0^support f' (or (f')^2) by scipy quadrature, independent of the
-    closed forms."""
-    from scipy.integrate import quad
-
+    """int_0^support f' (or (f')^2) by Gauss-Legendre quadrature between
+    consecutive nodes, independent of the closed forms."""
     segs = f.deriv_segments()
 
     def integrand(x):
@@ -254,8 +252,13 @@ def _quad_deriv(f: PiecewiseLinear, square: bool) -> float:
                 return s * s if square else s
         return 0.0
 
-    val, _ = quad(integrand, 0.0, f.support, points=[t for t, _ in f.nodes], limit=200)
-    return val
+    xs, ws = np.polynomial.legendre.leggauss(8)
+    ts = [t for t, _ in f.nodes]
+    total = 0.0
+    for t0, t1 in zip(ts, ts[1:]):
+        mid, half = (t0 + t1) / 2, (t1 - t0) / 2
+        total += half * sum(w * integrand(mid + half * x) for x, w in zip(xs, ws))
+    return total
 
 
 def singular_I_quad(F: TensorCutoff) -> float:
@@ -439,7 +442,7 @@ def c11_certificates():
     # and g^10 is an integer matrix, so the whole certificate stays in exact
     # rational arithmetic (non-parabolic choices need orbit precision that
     # grows linearly in p and exceed any sane budget)
-    shear = UnimodularMatrix.exact(1, Fraction(3, 10), 0, 1)
+    shear = UnimodularMatrix(1, Fraction(3, 10), 0, 1)
     rotation_part = UnimodularMatrix.identity()
     g = shear @ rotation_part
     mob = Mobius(g)

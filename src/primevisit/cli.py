@@ -44,9 +44,9 @@ from .dynamics import (
     Rotation,
     Shift,
     UnimodularMatrix,
-    UpperHalfPoint,
     early_visit_search,
     kac_empirical,
+    parse_fraction,
     prime_visit_times,
     verify_certificate,
 )
@@ -114,15 +114,6 @@ def _emit(config: RunConfig, fields, table: Optional[list[dict]] = None):
         sys.stdout.write(text)
 
 
-def _parse_point(system_kind: str, text: str):
-    if system_kind == "shift":
-        return int(text)
-    if system_kind == "rotation":
-        return Fraction(text)
-    re, im = text.split(",")
-    return UpperHalfPoint(Fraction(re), Fraction(im))
-
-
 def _build_system(args):
     if args.system == "shift":
         if args.q is None:
@@ -135,7 +126,7 @@ def _build_system(args):
     if args.system == "mobius":
         if args.g is None:
             raise UsageError("--g a,b,c,d required for the mobius system")
-        entries = [Fraction(v) for v in args.g.split(",")]
+        entries = [parse_fraction(v) for v in args.g.split(",")]
         if len(entries) != 4:
             raise UsageError("--g needs four comma-separated entries")
         return Mobius(UnimodularMatrix(*entries))
@@ -251,7 +242,7 @@ def _cmd_discrepancy(args, config):
 
 def _cmd_return_time(args, config):
     alpha = RealNumberSpec.parse(args.alpha)
-    eps = Fraction(args.eps)
+    eps = args.eps
     if args.method == "bruteforce":
         cap = args.cap if args.cap else int(1 / eps) + 1
         rep = return_time_bruteforce(alpha, eps, cap)
@@ -266,7 +257,7 @@ def _cmd_return_time(args, config):
 
 def _cmd_prop71(args, config):
     alpha = RealNumberSpec.parse(args.alpha)
-    grid = [Fraction(t) for t in args.eps_grid.split(",")]
+    grid = [parse_fraction(t) for t in args.eps_grid.split(",")]
     rows = check_prop71(alpha, grid, delta=args.delta)
     est = type_estimate(alpha, depth=args.depth) if args.depth else None
     fields = {"alpha": alpha.describe(), "delta": args.delta}
@@ -283,21 +274,19 @@ def _cmd_prop71(args, config):
 
 def _cmd_visits(args, config):
     system = _build_system(args)
-    x0 = _parse_point(args.system, args.x0)
-    x = _parse_point(args.system, args.x)
-    primes = prime_visit_times(system, x0, x, Fraction(args.eps), args.m, args.cap)
+    x0 = system.parse_point(args.x0)
+    x = system.parse_point(args.x)
+    primes = prime_visit_times(system, x0, x, args.eps, args.m, args.cap)
     _emit(config, {
-        "system": system.description, "epsilon": Fraction(args.eps),
+        "system": system.description, "epsilon": args.eps,
         "m": args.m, "primes": list(primes),
     })
 
 
 def _cmd_early_visit(args, config):
     system = _build_system(args)
-    x0 = _parse_point(args.system, args.x0)
-    cert = early_visit_search(
-        system, x0, Fraction(args.eps), args.m, h=args.h, cap=args.cap
-    )
+    x0 = system.parse_point(args.x0)
+    cert = early_visit_search(system, x0, args.eps, args.m, h=args.h, cap=args.cap)
     ok, detail = verify_certificate(system, cert, x0)
     _emit(config, {
         "certificate": json.loads(cert.to_json()),
@@ -307,13 +296,13 @@ def _cmd_early_visit(args, config):
 
 def _cmd_kac(args, config):
     system = _build_system(args)
-    x0 = _parse_point(args.system, args.x0)
+    x0 = system.parse_point(args.x0)
     rep = kac_empirical(
-        system, x0, float(Fraction(args.eps)), n_samples=args.samples,
+        system, x0, float(args.eps), n_samples=args.samples,
         cap=args.cap, seed=config.seed,
     )
     _emit(config, {
-        "system": system.description, "epsilon": Fraction(args.eps),
+        "system": system.description, "epsilon": args.eps,
         "mean_return": rep.mean_return, "target": rep.target,
         "relative_error": rep.relative_error, "n_samples": rep.n_samples,
         "censored": rep.censored, "ergodic": rep.ergodic, "note": rep.note,
@@ -420,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("return-time", help="first return time of a rotation")
     p.add_argument("--alpha", required=True,
                    help="p/q | sqrt:d:a:b | dec:<digits> | cf:a0,a1,... | golden")
-    p.add_argument("--eps", required=True)
+    p.add_argument("--eps", type=parse_fraction, required=True)
     p.add_argument("--method", choices=("convergent", "bruteforce"),
                    default="convergent")
     p.add_argument("--cap", type=int)
@@ -445,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     system_args(p)
     p.add_argument("--x0", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--eps", required=True)
+    p.add_argument("--eps", type=parse_fraction, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--cap", type=int, required=True)
     common(p)
@@ -453,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("early-visit", help="early prime-visit certificate")
     system_args(p)
     p.add_argument("--x0", required=True)
-    p.add_argument("--eps", required=True)
+    p.add_argument("--eps", type=parse_fraction, required=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--cap", type=int, default=None)
@@ -462,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kac", help="empirical mean return time vs 1/mu(B)")
     system_args(p)
     p.add_argument("--x0", required=True)
-    p.add_argument("--eps", required=True)
+    p.add_argument("--eps", type=parse_fraction, required=True)
     p.add_argument("--samples", type=int, default=10**4)
     p.add_argument("--cap", type=int, default=10**5)
     common(p)
@@ -497,6 +486,9 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    except UsageError as exc:  # a malformed --eps, from parse_fraction
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     work_cap = args.work_cap
     if work_cap is None:
         work_cap = int(os.environ.get("PVL_WORK_CAP", 10**9))

@@ -8,11 +8,12 @@ time to a ball, the early-visit search that pigeonholes a prime cluster into
 a progression of return times, and empirical mean-return statistics.
 
 Each system is a class (Shift, Rotation, Mobius) whose methods carry its
-geometry and its exact fast paths.  Certification strategy: shift systems
-are integer arithmetic; rotations with rational/quadratic angles use exact
-quadratic-field arithmetic; Moebius systems take rational matrices only and
-use exact Fraction points (parabolic powers are closed form, so orbits stay
-cheap).
+geometry and its exact fast paths.  Everything a certificate depends on is
+exact: shift systems are integer arithmetic; rotations with rational or
+quadratic angles use quadratic-field arithmetic; Moebius systems use
+`UnimodularMatrix` and `UpperHalfPoint`, whose entries are Fractions by type
+(parabolic powers are closed form, so orbits stay cheap).  Certificates keep
+the radii they were searched at as Fractions.
 """
 
 import json
@@ -20,7 +21,7 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 from itertools import count
 from math import asinh, ceil, sinh, sqrt
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -38,8 +39,6 @@ from .clusters import min_pm, default_cap
 from .contfrac import Decimal, Rational, RealNumberSpec, return_time
 from .primes import is_prime, iter_prime_segments, primes_in_ap
 
-Scalar = Union[int, float, Fraction]
-
 # Default cluster budget h for pair searches (m = 2); other m need an
 # explicit budget of shape C * m * exp(4m).
 DEFAULT_PAIR_H = 270
@@ -56,62 +55,62 @@ _REDUCE_CAP = 10_000
 # ---------------------------------------------------------------------------
 
 
+def parse_fraction(text: str) -> Fraction:
+    """An exact number written as an integer, a decimal or p/q; anything
+    else is a UsageError."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"not a number: {text!r}") from None
+
+
+def _rational(value, name: str) -> Fraction:
+    """value as a Fraction; only ints and Fractions are exact inputs."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise InvalidParameter(f"{name} must be an int or a Fraction, got {value!r}")
+
+
 @dataclass(frozen=True)
 class UpperHalfPoint:
-    """Point of the upper half-plane; exact when both coordinates are
-    Fractions."""
+    """Point of the upper half-plane with exact coordinates: ints are stored
+    as Fractions, anything else raises InvalidParameter."""
 
-    re: Scalar
-    im: Scalar
+    re: Fraction
+    im: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "re", _rational(self.re, "re"))
+        object.__setattr__(self, "im", _rational(self.im, "im"))
         if not self.im > 0:
             raise InvalidParameter(f"im must be > 0, got {self.im}")
 
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.re, (int, Fraction)) and isinstance(
-            self.im, (int, Fraction)
-        )
-
-    def floats(self) -> tuple[float, float]:
-        return float(self.re), float(self.im)
-
-    def norm_sq(self) -> Scalar:
+    def norm_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
 
 @dataclass(frozen=True)
 class UnimodularMatrix:
-    """2x2 real matrix with det 1 (exactly for rational entries, within
-    1e-12 otherwise)."""
+    """2x2 rational matrix with det exactly 1: ints are stored as
+    Fractions, anything else raises InvalidParameter."""
 
-    a: Scalar
-    b: Scalar
-    c: Scalar
-    d: Scalar
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    d: Fraction
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "d"):
+            object.__setattr__(self, name, _rational(getattr(self, name), name))
         det = self.a * self.d - self.b * self.c
-        if self.is_exact:
-            if det != 1:
-                raise InvalidParameter(f"det = {det} != 1")
-        elif abs(det - 1.0) > 1e-12:
-            raise InvalidParameter(f"|det - 1| = {abs(det - 1.0):.2e} > 1e-12")
-
-    @property
-    def is_exact(self) -> bool:
-        return all(
-            isinstance(v, (int, Fraction)) for v in (self.a, self.b, self.c, self.d)
-        )
-
-    @classmethod
-    def exact(cls, a, b, c, d) -> "UnimodularMatrix":
-        return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+        if det != 1:
+            raise InvalidParameter(f"det = {det} != 1")
 
     @classmethod
     def identity(cls) -> "UnimodularMatrix":
-        return cls.exact(1, 0, 0, 1)
+        return cls(1, 0, 0, 1)
 
     def __matmul__(self, o: "UnimodularMatrix") -> "UnimodularMatrix":
         return UnimodularMatrix(
@@ -121,11 +120,11 @@ class UnimodularMatrix:
             self.c * o.b + self.d * o.d,
         )
 
-    def entries(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
 
     def act(self, z: UpperHalfPoint) -> UpperHalfPoint:
-        """Moebius action (az+b)/(cz+d); exact on exact inputs."""
+        """Moebius action (az+b)/(cz+d), exactly."""
         x, y = z.re, z.im
         u = self.c * x + self.d
         v = self.c * y
@@ -134,33 +133,22 @@ class UnimodularMatrix:
         im = y / den  # det = 1
         return UpperHalfPoint(re, im)
 
-    def _parabolic_nilpotent(self) -> Optional["_Nilpotent"]:
-        """For exact parabolic matrices +/-(I + N), N^2 = 0, return N of the
-        +I representative (the Moebius action ignores the sign)."""
-        if not self.is_exact:
-            return None
-        tr = self.a + self.d
-        if tr == 2:
-            m = self
-        elif tr == -2:
-            m = UnimodularMatrix(-self.a, -self.b, -self.c, -self.d)
-        else:
-            return None
-        n = _Nilpotent(m.a - 1, m.b, m.c, m.d - 1)
-        return n if n.is_nilpotent() else None
-
     def power(self, n: int) -> "UnimodularMatrix":
-        """g^n: closed form for exact parabolic matrices (I + nN), binary
-        powering otherwise."""
+        """g^n: closed form I + nN for parabolic g = s(I + N), s = +-1 (the
+        power of the +I representative; the Moebius action ignores the
+        sign), binary powering otherwise."""
         if n == 0:
             return UnimodularMatrix.identity()
         if n < 0:
             inv = UnimodularMatrix(self.d, -self.b, -self.c, self.a)
             return inv.power(-n)
-        nil = self._parabolic_nilpotent()
-        if nil is not None:
+        tr = self.a + self.d
+        if tr == 2 or tr == -2:
+            # N = s g - I has trace 0 and det 1 - s tr + 1 = 0, so N^2 = 0
+            s = 1 if tr == 2 else -1
             return UnimodularMatrix(
-                1 + n * nil.a, n * nil.b, n * nil.c, 1 + n * nil.d
+                1 + n * (s * self.a - 1), n * s * self.b, n * s * self.c,
+                1 + n * (s * self.d - 1),
             )
         result = None
         base = self
@@ -173,21 +161,8 @@ class UnimodularMatrix:
         return result
 
 
-@dataclass(frozen=True)
-class _Nilpotent:
-    a: Scalar
-    b: Scalar
-    c: Scalar
-    d: Scalar
-
-    def is_nilpotent(self) -> bool:
-        return (
-            self.a + self.d == 0 and self.a * self.d - self.b * self.c == 0
-        )
-
-
-def cosh_dist_minus_one(z: UpperHalfPoint, w: UpperHalfPoint) -> Scalar:
-    """cosh d(z, w) - 1 = |z - w|^2 / (2 Im z Im w); exact on exact points."""
+def cosh_dist_minus_one(z: UpperHalfPoint, w: UpperHalfPoint) -> Fraction:
+    """cosh d(z, w) - 1 = |z - w|^2 / (2 Im z Im w), exactly."""
     dx = z.re - w.re
     dy = z.im - w.im
     return (dx * dx + dy * dy) / (2 * z.im * w.im)
@@ -200,15 +175,13 @@ def hyp_distance(z: UpperHalfPoint, w: UpperHalfPoint) -> float:
     return 2.0 * asinh(sqrt(v / 2.0))
 
 
-def _round_half(x: Scalar) -> int:
-    """Nearest integer, exact for Fractions (half rounds down)."""
-    if isinstance(x, (int, Fraction)):
-        f = Fraction(x) + Fraction(1, 2)
-        n = f.numerator // f.denominator
-        if f == n:  # exactly .5: prefer the smaller shift
-            return n - 1 if n > 0 else n
-        return n
-    return int(np.floor(x + 0.5))
+def _round_half(x: Fraction) -> int:
+    """Nearest integer (half rounds down)."""
+    f = x + Fraction(1, 2)
+    n = f.numerator // f.denominator
+    if f == n:  # exactly .5: prefer the smaller shift
+        return n - 1 if n > 0 else n
+    return n
 
 
 @dataclass(frozen=True)
@@ -221,19 +194,18 @@ class ReducedPoint:
 def reduce_fundamental(z: UpperHalfPoint, cap: int = _REDUCE_CAP) -> ReducedPoint:
     """Gauss reduction to |Re z| <= 1/2, |z| >= 1 (the standard fundamental
     domain), tracking the word of generators applied."""
-    S = UnimodularMatrix.exact(0, -1, 1, 0)
+    S = UnimodularMatrix(0, -1, 1, 0)
     gamma = UnimodularMatrix.identity()
     words: list[str] = []
     cur = z
     for _ in range(cap):
         t = _round_half(cur.re)
         if t != 0:
-            shift = UnimodularMatrix.exact(1, -t, 0, 1)
+            shift = UnimodularMatrix(1, -t, 0, 1)
             cur = shift.act(cur)
             gamma = shift @ gamma
             words.append(f"T^{-t}")
-        one = 1 if cur.is_exact else 1.0 - 1e-15
-        if cur.norm_sq() < one:
+        if cur.norm_sq() < 1:
             cur = S.act(cur)
             gamma = S @ gamma
             words.append("S")
@@ -245,9 +217,9 @@ def reduce_fundamental(z: UpperHalfPoint, cap: int = _REDUCE_CAP) -> ReducedPoin
 def _translate_set() -> tuple[UnimodularMatrix, ...]:
     """Identity, T^{+-1}, S and their distinct length-2 words (actions
     deduplicated up to sign)."""
-    T = UnimodularMatrix.exact(1, 1, 0, 1)
-    Ti = UnimodularMatrix.exact(1, -1, 0, 1)
-    S = UnimodularMatrix.exact(0, -1, 1, 0)
+    T = UnimodularMatrix(1, 1, 0, 1)
+    Ti = UnimodularMatrix(1, -1, 0, 1)
+    S = UnimodularMatrix(0, -1, 1, 0)
     gens = [T, Ti, S]
     out = [UnimodularMatrix.identity()] + gens
     for g1 in gens:
@@ -269,7 +241,7 @@ _TRANSLATES = _translate_set()
 class QuotientDistance:
     value: float
     exact_region: bool  # min < injectivity guard: exact on the quotient
-    cosh_minus_one: Scalar  # exact Fraction for exact inputs
+    cosh_minus_one: Fraction
 
 
 def quotient_distance(z: UpperHalfPoint, w: UpperHalfPoint) -> QuotientDistance:
@@ -287,7 +259,7 @@ def quotient_distance(z: UpperHalfPoint, w: UpperHalfPoint) -> QuotientDistance:
     )
 
 
-def _cosh_m1_lt(value: Scalar, eps: Fraction) -> bool:
+def _cosh_m1_lt(value: Fraction, eps: Fraction) -> bool:
     """Certified cosh(d) - 1 < cosh(eps) - 1, given value = cosh(d) - 1.
 
     Sums cosh(eps) - 1 = sum_{n>=1} eps^(2n)/(2n)! in integers over the
@@ -299,7 +271,7 @@ def _cosh_m1_lt(value: Scalar, eps: Fraction) -> bool:
     value; the work is bounded by refusing values within 2^-(4b + 64) of
     it, b the inputs' bit size.
     """
-    a, b = Fraction(value).as_integer_ratio()  # value = a/b
+    a, b = value.as_integer_ratio()  # value = a/b
     p, q = eps.numerator ** 2, eps.denominator ** 2  # eps^2 = p/q
     floor_bits = 4 * sum(x.bit_length() for x in (a, b, p, q)) + 64
     s = t = p  # partial sum s/den and its last term t/den
@@ -322,7 +294,8 @@ def _cosh_m1_lt(value: Scalar, eps: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _to_eps_fraction(epsilon: Scalar) -> Fraction:
+def _to_eps_fraction(epsilon: Fraction) -> Fraction:
+    """The radius as searched; an int or float is taken at its exact value."""
     eps = Fraction(epsilon)
     if eps <= 0:
         raise UsageError(f"epsilon must be > 0, got {float(eps)}")
@@ -335,9 +308,11 @@ class System:
     Each subclass has `description` and these methods: iterate(x, n) = T^n x
     (closed forms or matrix powers, not repeated composition); dist(x, y), a
     float; dist_lt(x, y, eps), the certified comparison d(x, y) < eps that
-    searches and certificate checks use; ball_measure(x, eps) in [0, 1]; and
-    point_repr / point_float for certificates.  The scans below are generic;
-    a subclass overrides them where it has an exact fast path.
+    searches and certificate checks use; ball_measure(x, eps) in [0, 1];
+    point_repr(x) for certificates; and parse_point(text), which reads a
+    point from CLI text and answers malformed text with a UsageError.  The
+    scans below are generic; a subclass overrides them where it has an exact
+    fast path.
     """
 
     description: str
@@ -407,8 +382,11 @@ class Shift(System):
     def point_repr(self, x) -> str:
         return str(int(x))
 
-    def point_float(self, x):
-        return int(x)
+    def parse_point(self, text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"a shift point is an integer, got {text!r}") from None
 
     def first_return(self, x0, eps: Fraction, cap: Optional[int] = None) -> int:
         return self.q if eps <= 1 else 1
@@ -478,8 +456,8 @@ class Rotation(System):
     def point_repr(self, x) -> str:
         return repr(_circle_point(x))
 
-    def point_float(self, x) -> float:
-        return float(_circle_point(x))
+    def parse_point(self, text: str) -> Fraction:
+        return parse_fraction(text)
 
     def first_return(self, x0, eps: Fraction, cap: Optional[int] = None) -> int:
         # returns of a rotation do not depend on the base point
@@ -490,11 +468,9 @@ class Rotation(System):
         every candidate within the error margin; nothing outside the margin
         can pass."""
         af = float(self.alpha)
-        x0f = self.point_float(x0)
-        xf = self.point_float(x)
-        eps_f = float(eps)
         x0q = _circle_point(x0)
         xq = _circle_point(x)
+        x0f, xf, eps_f = float(x0q), float(xq), float(eps)
 
         found = []
         for seg in iter_prime_segments(2, cap + 1):
@@ -521,7 +497,7 @@ class Rotation(System):
         """
         ergodic = not self.a.is_rational
         af = float(self.alpha)
-        x0f = self.point_float(x0)
+        x0f = float(_circle_point(x0))
         rng = np.random.default_rng(seed)
         u = (np.arange(n_samples) + rng.random(n_samples)) / n_samples
         samples = np.mod(x0f + eps * (2.0 * u - 1.0), 1.0)
@@ -564,18 +540,11 @@ class Mobius(System):
     """X = fundamental domain of the modular group, quotient hyperbolic
     distance, normalized hyperbolic measure (density (3/pi) y^-2); the map
     is z -> g z with orbits computed by matrix powers and reduced back to
-    the fundamental domain.
-
-    g must be exact: float matrix powers drift from the true orbit within a
-    few dozen steps, and the visit times read off them would be wrong.
+    the fundamental domain.  The orbit is exact because g is: float matrix
+    powers would drift from the true orbit within a few dozen steps.
     """
 
     def __init__(self, g: UnimodularMatrix):
-        if not g.is_exact:
-            raise InvalidParameter(
-                "Moebius systems need an exact (rational) matrix; float "
-                "orbits cannot be certified"
-            )
         self.g = g
         self.description = (
             f"Moebius action by {tuple(map(float, g.entries()))} on the modular surface"
@@ -601,8 +570,11 @@ class Mobius(System):
     def point_repr(self, x) -> str:
         return f"({x.re!r}, {x.im!r})"
 
-    def point_float(self, x) -> tuple[float, float]:
-        return x.floats()
+    def parse_point(self, text: str) -> UpperHalfPoint:
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise UsageError(f"a Moebius point is re,im, got {text!r}")
+        return UpperHalfPoint(*map(parse_fraction, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +583,7 @@ class Mobius(System):
 
 
 def first_return(
-    system: System, x0, epsilon: Scalar, cap: Optional[int] = None
+    system: System, x0, epsilon: Fraction, cap: Optional[int] = None
 ) -> int:
     """Least n >= 1 with d(T^n x0, x0) < eps.
 
@@ -622,7 +594,7 @@ def first_return(
 
 
 def prime_visit_times(
-    system: System, x0, x, epsilon: Scalar, m: int, cap: int
+    system: System, x0, x, epsilon: Fraction, m: int, cap: int
 ) -> list[int]:
     """The m smallest primes p <= cap with d(T^p x0, x) < eps."""
     eps = _to_eps_fraction(epsilon)
@@ -636,34 +608,37 @@ class EarlyVisitCertificate:
     """Self-contained record of one early-visit search: the return time q,
     the winning residue a*, the target x* = T^{a*} x0, and the m primes whose
     orbit points all land within eps of x*.  Everything re-verifies from
-    scratch via verify_certificate."""
+    scratch via verify_certificate.
+
+    Schema 2: `epsilon` and `return_threshold` are the exact radii searched,
+    written to JSON as "p/q" strings; `distances` and `mu_ball_quarter` are
+    floats that verify_certificate does not read."""
 
     system: str
     x0_repr: str
-    x0_float: object
-    epsilon: float
+    epsilon: Fraction
     m: int
     h: float
     q_return: int
     a_star: int
     x_star_repr: str
-    x_star_float: object
     primes: tuple[int, ...]
     distances: tuple[float, ...]
     q_bound_ok: bool
     mu_ball_quarter: float  # mu(B(x0; eps/4h))
-    return_threshold: float  # eps / 2h
+    return_threshold: Fraction  # eps / 2h (eps for a degenerate ball)
     degenerate: bool = False  # ball was the whole space
-    certified: bool = True  # comparisons decided exactly (vs guarded floats)
     tool_version: str = _pkg_version
-    schema_version: int = 1
+    schema_version: int = 2
 
     def to_json(self) -> str:
         d = asdict(self)
         d["primes"] = list(self.primes)
         d["distances"] = list(self.distances)
+        for key in ("epsilon", "return_threshold"):
+            d[key] = f"{d[key].numerator}/{d[key].denominator}"
         d["tolerances"] = {"injectivity_guard": INJECTIVITY_GUARD}
-        return json.dumps(d, sort_keys=True, default=str)
+        return json.dumps(d, sort_keys=True)
 
 
 def _first_m_primes(m: int) -> list[int]:
@@ -678,7 +653,7 @@ def _first_m_primes(m: int) -> list[int]:
 def early_visit_search(
     system: System,
     x0,
-    epsilon: Scalar,
+    epsilon: Fraction,
     m: int,
     h: Optional[float] = None,
     cap: Optional[int] = None,
@@ -720,40 +695,14 @@ def _early_visit_once(
     h_frac = Fraction(h)
     mu_quarter = system.ball_measure(x0, float(eps / (4 * h_frac)))
 
-    # degenerate: the eps-ball is (essentially) the whole space; any m primes
-    # work, but the distances are still verified like everything else
-    if system.ball_measure(x0, float(eps)) >= 1.0:
-        primes = _first_m_primes(m)
-        for p in primes:
-            if not system.dist_lt(system.iterate(x0, p), x0, eps):
-                raise SearchFailed(
-                    f"degenerate ball but d(T^{p} x0, x0) >= eps (boundary tie)",
-                    detail={"prime": p},
-                )
-        dists = tuple(
-            system.dist(system.iterate(x0, p), x0) for p in primes
-        )
-        return EarlyVisitCertificate(
-            system=system.description,
-            x0_repr=system.point_repr(x0),
-            x0_float=system.point_float(x0),
-            epsilon=float(eps),
-            m=m,
-            h=h,
-            q_return=1,
-            a_star=0,
-            x_star_repr=system.point_repr(x0),
-            x_star_float=system.point_float(x0),
-            primes=tuple(primes),
-            distances=dists,
-            q_bound_ok=True,
-            mu_ball_quarter=mu_quarter,
-            return_threshold=float(eps),
-            degenerate=True,
-        )
-
-    threshold = eps / (2 * h_frac)
-    q = first_return(system, x0, threshold, cap=cap)
+    # degenerate: the eps-ball is (essentially) the whole space, so q = 1,
+    # x* = x0 and any m primes work; their distances are still verified
+    degenerate = system.ball_measure(x0, float(eps)) >= 1.0
+    if degenerate:
+        threshold, q = eps, 1
+    else:
+        threshold = eps / (2 * h_frac)
+        q = first_return(system, x0, threshold, cap=cap)
 
     if q == 1:
         a_star, primes = 0, _first_m_primes(m)
@@ -772,52 +721,53 @@ def _early_visit_once(
         primes = list(res.primes)
         p_m_val = res.p_m
 
-    if p_m_val > h * q:
+    if not degenerate and p_m_val > h * q:
         raise SearchFailed(
             f"p_m(q={q}, a*={a_star}) = {p_m_val} exceeds budget h*q = {h * q:g}",
             detail={"q": q, "a_star": a_star, "p_m": p_m_val, "h": h},
         )
 
-    x_star = system.iterate(x0, a_star)
+    x_star = x0 if degenerate else system.iterate(x0, a_star)
     dists = []
     for p in primes:
         xp = system.iterate(x0, p)
         if not system.dist_lt(xp, x_star, eps):
             raise SearchFailed(
+                f"degenerate ball but d(T^{p} x0, x0) >= eps (boundary tie)"
+                if degenerate else
                 f"verification failed: d(T^{p} x0, x*) = "
                 f"{system.dist(xp, x_star):.6g} >= eps = {float(eps):.6g}",
                 detail={"q": q, "a_star": a_star, "prime": p},
             )
         dists.append(system.dist(xp, x_star))
 
-    q_bound_ok = mu_quarter > 0 and q <= 1.0 / mu_quarter
     return EarlyVisitCertificate(
         system=system.description,
         x0_repr=system.point_repr(x0),
-        x0_float=system.point_float(x0),
-        epsilon=float(eps),
+        epsilon=eps,
         m=m,
         h=h,
         q_return=q,
         a_star=a_star,
         x_star_repr=system.point_repr(x_star),
-        x_star_float=system.point_float(x_star),
         primes=tuple(primes),
         distances=tuple(dists),
-        q_bound_ok=q_bound_ok,
+        q_bound_ok=degenerate or (mu_quarter > 0 and q <= 1.0 / mu_quarter),
         mu_ball_quarter=mu_quarter,
-        return_threshold=float(threshold),
+        return_threshold=threshold,
+        degenerate=degenerate,
     )
 
 
 def verify_certificate(
     system: System, cert: EarlyVisitCertificate, x0
 ) -> tuple[bool, dict]:
-    """Recompute everything in the certificate from scratch."""
-    eps = Fraction(cert.epsilon)
+    """Recompute everything in the certificate from scratch, at the exact
+    radii it records."""
+    eps = cert.epsilon
     problems = []
     if not cert.degenerate:
-        thr = Fraction(cert.return_threshold)
+        thr = cert.return_threshold
         if not system.dist_lt(system.iterate(x0, cert.q_return), x0, thr):
             problems.append("return time does not satisfy d(T^q x0, x0) < eps/2h")
         else:
@@ -857,7 +807,7 @@ class KacReport:
 def kac_empirical(
     system: System,
     x0,
-    epsilon: Scalar,
+    epsilon: float,
     n_samples: int,
     cap: int,
     seed: int = 0,

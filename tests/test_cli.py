@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from primevisit import cli
 from primevisit.cli import main
 
@@ -105,7 +107,7 @@ def test_early_visit_rotation_cli(capsys):
     doc = json.loads(out)
     assert doc["reverified"] is True
     assert doc["certificate"]["q_return"] == 2584
-    assert doc["certificate"]["certified"] is True
+    assert doc["certificate"]["epsilon"] == "1/10"
 
 
 def test_prop71_table(capsys):
@@ -126,6 +128,23 @@ def test_verify_subset(capsys):
 
 def test_usage_error_on_bad_subcommand(capsys):
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["return-time", "--alpha", "golden", "--eps", "abc"],
+    ["kac", "--system", "rotation", "--alpha", "golden", "--x0", "0", "--eps", "1/0"],
+    ["prop71", "--alpha", "golden", "--eps-grid", ""],
+    ["visits", "--system", "shift", "--q", "4", "--x0", "abc", "--x", "1",
+     "--eps", "1/2", "--m", "1", "--cap", "100"],
+    ["early-visit", "--system", "mobius", "--g", "1,3/10,0,1", "--x0", "0",
+     "--eps", "1/5"],
+    ["early-visit", "--system", "mobius", "--g", "1,x,0,1", "--x0", "0,1",
+     "--eps", "1/5"],
+], ids=["eps", "eps-zero-denominator", "eps-grid", "x0-shift", "x0-mobius", "g"])
+def test_malformed_number_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error" in err
 
 
 def test_console_script_installed():

@@ -20,6 +20,7 @@ from primevisit.dynamics import (
     UnimodularMatrix,
     UpperHalfPoint,
     _cosh_m1_lt,
+    cosh_dist_minus_one,
     early_visit_search,
     first_return,
     hyp_distance,
@@ -38,56 +39,69 @@ SQRT2M1 = Quadratic(QuadExt(-1, 1, 2))
 # --- hyperbolic geometry -----------------------------------------------------
 
 
+def _random_points(seed, n, re=(-8000, 8000), im=(50, 3000)):
+    """n exact points whose coordinates are random thousandths in the
+    given ranges (bounds in thousandths)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield UpperHalfPoint(Fraction(int(rng.integers(*re)), 1000),
+                             Fraction(int(rng.integers(*im)), 1000))
+
+
 def test_hyp_distance_examples():
-    i = UpperHalfPoint(0.0, 1.0)
-    assert hyp_distance(i, UpperHalfPoint(0.0, 2.0)) == pytest.approx(np.log(2))
+    i = UpperHalfPoint(0, 1)
+    assert hyp_distance(i, UpperHalfPoint(0, 2)) == pytest.approx(np.log(2))
     assert hyp_distance(i, i) == 0.0
-    assert hyp_distance(i, UpperHalfPoint(1.0, 1.0)) == pytest.approx(
-        np.arccosh(1.5)
-    )
-    # symmetry
-    z, w = UpperHalfPoint(0.3, 0.9), UpperHalfPoint(-0.2, 1.7)
-    assert hyp_distance(z, w) == pytest.approx(hyp_distance(w, z))
+    assert hyp_distance(i, UpperHalfPoint(1, 1)) == pytest.approx(np.arccosh(1.5))
+    # symmetry, exactly on the cosh side
+    pts = list(_random_points(3, 40))
+    for z, w in zip(pts, pts[1:]):
+        assert cosh_dist_minus_one(z, w) == cosh_dist_minus_one(w, z)
+        assert hyp_distance(z, w) == hyp_distance(w, z)
 
 
 def test_reduce_examples():
-    rp = reduce_fundamental(UpperHalfPoint(0.0, 2.0))
-    assert rp.point.floats() == (0.0, 2.0) and rp.word == ""
+    rp = reduce_fundamental(UpperHalfPoint(0, 2))
+    assert (rp.point.re, rp.point.im) == (0, 2) and rp.word == ""
 
-    rp = reduce_fundamental(UpperHalfPoint(0.7, 0.8))
-    x, y = rp.point.floats()
-    assert (x, y) == (pytest.approx(0.41096, abs=1e-5), pytest.approx(1.09589, abs=1e-5))
+    rp = reduce_fundamental(UpperHalfPoint(Fraction(7, 10), Fraction(4, 5)))
+    assert (rp.point.re, rp.point.im) == (Fraction(30, 73), Fraction(80, 73))
     assert rp.word.split() == ["T^-1", "S"]
 
-    rp = reduce_fundamental(UpperHalfPoint(5.3, 0.9))
+    rp = reduce_fundamental(UpperHalfPoint(Fraction(53, 10), Fraction(9, 10)))
     assert rp.word.startswith("T^-5")
-    x, y = rp.point.floats()
-    assert abs(x) <= 0.5 + 1e-12 and x * x + y * y >= 1 - 1e-12
+    assert abs(rp.point.re) <= Fraction(1, 2) and rp.point.norm_sq() >= 1
 
 
 def test_reduce_gamma_tracks_word():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        z = UpperHalfPoint(float(rng.uniform(-8, 8)), float(rng.uniform(0.05, 3)))
+    for z in _random_points(17, 50):
         rp = reduce_fundamental(z)
-        out = rp.gamma.act(z)
-        assert out.floats() == pytest.approx(rp.point.floats(), abs=1e-9)
-        x, y = rp.point.floats()
-        assert abs(x) <= 0.5 + 1e-9 and x * x + y * y >= 1 - 1e-9
+        assert rp.gamma.act(z) == rp.point
+        assert abs(rp.point.re) <= Fraction(1, 2) and rp.point.norm_sq() >= 1
 
 
 def test_reduce_exact_points():
     z = UpperHalfPoint(Fraction(7, 10), Fraction(4, 5))
     rp = reduce_fundamental(z)
-    assert rp.point.is_exact
+    assert isinstance(rp.point.re, Fraction) and isinstance(rp.point.im, Fraction)
     # T^-1 then S: -1/(-3/10 + 4i/5) = 30/73 + 80i/73, by hand
     assert rp.point.re == Fraction(30, 73)
     assert rp.point.im == Fraction(80, 73)
 
 
+def test_float_coordinates_refused():
+    with pytest.raises(InvalidParameter):
+        UpperHalfPoint(0.5, 1.0)
+    with pytest.raises(InvalidParameter):
+        UnimodularMatrix(1.0, 0.3, 0.0, 1.0)
+    # ints are stored as Fractions
+    assert isinstance(UpperHalfPoint(0, 1).re, Fraction)
+    assert all(isinstance(v, Fraction) for v in UnimodularMatrix(2, 1, 1, 1).entries())
+
+
 def test_quotient_distance_edge_identification():
-    z = UpperHalfPoint(-0.49, 1.2)
-    w = UpperHalfPoint(0.49, 1.2)
+    z = UpperHalfPoint(Fraction(-49, 100), Fraction(6, 5))
+    w = UpperHalfPoint(Fraction(49, 100), Fraction(6, 5))
     qd = quotient_distance(z, w)
     assert qd.value < 0.02  # via the T-translate
     assert qd.value <= hyp_distance(z, w)
@@ -109,7 +123,7 @@ def test_shift_isometry():
 def test_first_return_cap_exceeded():
     # hyperbolic non-integer matrix: the orbit of i wanders without coming
     # back within 1e-6 in the first few dozen steps
-    mob = Mobius(UnimodularMatrix.exact(Fraction(3, 2), Fraction(1, 2), 1, 1))
+    mob = Mobius(UnimodularMatrix(Fraction(3, 2), Fraction(1, 2), 1, 1))
     zi = UpperHalfPoint(Fraction(0), Fraction(1))
     with pytest.raises(CapExceeded):
         first_return(mob, zi, Fraction(1, 10**6), cap=40)
@@ -156,7 +170,7 @@ def test_rotation_doubling_exact():
 
 def test_mobius_system_basics():
     # integer translation: T(i) reduces back to i
-    mob = Mobius(UnimodularMatrix.exact(1, 1, 0, 1))
+    mob = Mobius(UnimodularMatrix(1, 1, 0, 1))
     zi = UpperHalfPoint(Fraction(0), Fraction(1))
     for p in (2, 3, 7):
         assert mob.dist(mob.iterate(zi, p), zi) == pytest.approx(0.0, abs=1e-12)
@@ -164,18 +178,15 @@ def test_mobius_system_basics():
 
 
 def test_mobius_isometry_on_cover_and_quotient():
-    # real matrix: honest isometry of the upper half-plane
-    g = UnimodularMatrix(1.0, 0.3, 0.0, 1.0)
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        z = UpperHalfPoint(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.8, 2)))
-        w = UpperHalfPoint(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.8, 2)))
-        assert hyp_distance(g.act(z), g.act(w)) == pytest.approx(
-            hyp_distance(z, w), abs=1e-9
-        )
+    # rational matrices: exact isometries of the upper half-plane
+    pts = list(_random_points(5, 101, re=(-1000, 1000), im=(800, 2000)))
+    for g in (UnimodularMatrix(1, Fraction(3, 10), 0, 1),
+              UnimodularMatrix(Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5))):
+        for z, w in zip(pts, pts[1:]):
+            assert cosh_dist_minus_one(g.act(z), g.act(w)) == cosh_dist_minus_one(z, w)
     # integer matrix: quotient distance preserved (inside the exact region)
-    gamma = UnimodularMatrix.exact(2, 1, 1, 1)
-    mob = Mobius(gamma)
+    gamma = UnimodularMatrix(2, 1, 1, 1)
+    rng = np.random.default_rng(5)
     for _ in range(100):
         z = UpperHalfPoint(Fraction(int(rng.integers(-40, 40)), 100),
                            Fraction(int(rng.integers(110, 200)), 100))
@@ -185,13 +196,13 @@ def test_mobius_isometry_on_cover_and_quotient():
         d1 = quotient_distance(reduce_fundamental(gamma.act(z)).point,
                                reduce_fundamental(gamma.act(w)).point)
         if d0.exact_region and d1.exact_region:
-            assert d1.value == pytest.approx(d0.value, abs=1e-9)
+            assert d1.cosh_minus_one == d0.cosh_minus_one
 
 
 def test_mobius_threshold_decided_exactly():
     import mpmath
 
-    mob = Mobius(UnimodularMatrix.exact(1, 1, 0, 1))
+    mob = Mobius(UnimodularMatrix(1, 1, 0, 1))
     zi = UpperHalfPoint(Fraction(0), Fraction(1))
     # distance 0 against a threshold cosh(eps) - 1 below 1e-40, and a
     # threshold beyond float range
@@ -230,22 +241,20 @@ def test_mobius_doubling_ratio():
 
 
 def test_matrix_power_by_squaring():
-    # float elliptic matrix stays bounded: compare against repeated multiply
-    th = 0.7
-    g = UnimodularMatrix(np.cos(th), -np.sin(th), np.sin(th), np.cos(th))
+    # elliptic (rotation by arctan(4/3)): binary powering against repeated
+    # products, exactly
+    g = UnimodularMatrix(Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5))
     m = UnimodularMatrix.identity()
-    for p in range(1, 1001):
+    for p in range(1, 201):
         m = m @ g
-        if p in (1, 2, 10, 137, 500, 1000):
-            fast = g.power(p)
-            for a, b in zip(fast.entries(), m.entries()):
-                assert abs(a - b) < 1e-9
+        assert g.power(p) == m
+    assert g.power(-7) @ g.power(7) == UnimodularMatrix.identity()
     # exact parabolic closed form
-    shear = UnimodularMatrix.exact(1, Fraction(3, 10), 0, 1)
+    shear = UnimodularMatrix(1, Fraction(3, 10), 0, 1)
     assert shear.power(100).entries() == (1, 30, 0, 1)
     assert shear.power(-2).entries() == (1, Fraction(-3, 5), 0, 1)
     # exact non-parabolic
-    gm = UnimodularMatrix.exact(2, 1, 1, 1)
+    gm = UnimodularMatrix(2, 1, 1, 1)
     assert gm.power(3).entries() == (gm @ gm @ gm).entries()
 
 
@@ -309,7 +318,7 @@ def test_early_visit_degenerate_ball():
 
 
 def test_early_visit_mobius_shear():
-    g = UnimodularMatrix.exact(1, Fraction(3, 10), 0, 1)
+    g = UnimodularMatrix(1, Fraction(3, 10), 0, 1)
     mob = Mobius(g)
     x0 = UpperHalfPoint(Fraction(0), Fraction(1))
     cert = early_visit_search(mob, x0, Fraction(2, 10), 2, 270)
@@ -323,7 +332,7 @@ def test_early_visit_mobius_shear():
 def test_float_mobius_matches_exact_short_orbits():
     # float matrices are refused: their orbits drift (by 0.33 at n = 19 for
     # g = (2, 1, 1, 1)) and the visit times read off them would be wrong
-    g_exact = UnimodularMatrix.exact(1, Fraction(3, 10), 0, 1)
+    g_exact = UnimodularMatrix(1, Fraction(3, 10), 0, 1)
     with pytest.raises(InvalidParameter):
         Mobius(UnimodularMatrix(1.0, 0.3, 0.0, 1.0))
     me = Mobius(g_exact)
@@ -333,13 +342,23 @@ def test_float_mobius_matches_exact_short_orbits():
     assert first_return(me, zi_e, Fraction(1, 1000), cap=100) == 10
 
 
+def test_integer_entry_mobius_orbit_is_exact():
+    # int entries are stored as Fractions, so the orbit of 2i under the
+    # modular matrix (2, 1, 1, 1) returns to 2i at every step
+    mob = Mobius(UnimodularMatrix(2, 1, 1, 1))
+    z = UpperHalfPoint(0, 2)
+    assert prime_visit_times(mob, z, z, Fraction(1, 10**6), 8, 200) == [
+        2, 3, 5, 7, 11, 13, 17, 19
+    ]
+
+
 def test_certificate_serializes_and_tamper_fails():
     import json
 
     sh = Shift(10)
     cert = early_visit_search(sh, 0, 0.5, 2, 270)
     doc = json.loads(cert.to_json())
-    assert doc["tool_version"] and doc["schema_version"] == 1
+    assert doc["tool_version"] and doc["schema_version"] == 2
     assert doc["primes"] == [3, 13]
     bad = dataclasses.replace(cert, primes=(3, 15))  # 15 is not prime
     ok, det = verify_certificate(sh, bad, 0)
@@ -347,6 +366,19 @@ def test_certificate_serializes_and_tamper_fails():
     bad = dataclasses.replace(cert, primes=(7, 13))  # 7 != 3 mod 10
     ok, det = verify_certificate(sh, bad, 0)
     assert not ok and det["problems"]
+
+
+def test_certificate_keeps_exact_radii():
+    import json
+
+    rot = Rotation(GOLDEN)
+    cert = early_visit_search(rot, 0, Fraction(1, 10), 2, 270)
+    doc = json.loads(cert.to_json())
+    assert doc["epsilon"] == "1/10" and Fraction(doc["epsilon"]) == Fraction(1, 10)
+    assert Fraction(doc["return_threshold"]) == Fraction(1, 5400)
+    assert cert.epsilon == Fraction(1, 10)
+    for gone in ("x0_float", "x_star_float", "certified"):
+        assert gone not in doc
 
 
 def test_early_visit_needs_h_for_larger_m():
@@ -460,7 +492,7 @@ def test_rotation_fast_paths_match_generic_scans(alpha, x0, x, eps, m, cap):
 
 def _certificates():
     zi = UpperHalfPoint(Fraction(0), Fraction(1))
-    shear = Mobius(UnimodularMatrix.exact(1, Fraction(3, 10), 0, 1))
+    shear = Mobius(UnimodularMatrix(1, Fraction(3, 10), 0, 1))
     rot = Rotation(GOLDEN)
     return [
         (Shift(10), 0, early_visit_search(Shift(10), 0, 0.5, 2, 270)),
