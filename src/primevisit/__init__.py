@@ -25,7 +25,6 @@ from .sieve_weights import (
     choose_b0,
     detection_ratio,
     discrepancy_reduced,
-    lambda_f,
     s_sum_bruteforce,
     select_k_rho,
     small_primorial_coprime,
@@ -55,7 +54,6 @@ from .dynamics import (
     UpperHalfPoint,
     early_visit_search,
     first_return,
-    hyp_distance,
     kac_empirical,
     prime_visit_times,
     quotient_distance,

@@ -278,9 +278,7 @@ def singular_J_quad(F: TensorCutoff, i: int) -> float:
     return out
 
 
-def singular_mc(
-    F: PsiCutoff, n_samples: int = 10**6, seed: int = 0, chunk: int = 1 << 20
-) -> dict:
+def singular_mc(F: PsiCutoff, n_samples: int = 10**6, seed: int = 0) -> dict:
     """Psi-family I and J_1 by Monte-Carlo, with standard errors: the
     oracle for the grid quadrature of `PsiCutoff`."""
     R = F.simplex_cap
@@ -299,7 +297,7 @@ def singular_mc(
         for j in range(2, dim + 1):
             vol /= j
         while done < n_samples:
-            n = min(chunk, n_samples - done)
+            n = min(1 << 20, n_samples - done)
             u = simplex_uniform(n, dim)
             vals = integrand(u)
             total += float(vals.sum())
@@ -456,8 +454,8 @@ def c11_certificates():
     x_star = mob.iterate(x0, cert2.a_star)
     for p in cert2.primes:
         qd = quotient_distance(
-            reduce_fundamental(mob.iterate(x0, p)).point,
-            reduce_fundamental(x_star).point,
+            reduce_fundamental(mob.iterate(x0, p)),
+            reduce_fundamental(x_star),
         )
         if not qd.exact_region:
             return False, f"distance at p={p} outside the exact quotient region", 300.0

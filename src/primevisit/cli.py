@@ -2,15 +2,13 @@
 bit-stable JSON/CSV report emission.
 
 Exit codes: 0 success, 1 check failed (verify), 2 usage error, 3 budget or
-cap exceeded.  The env var PVL_WORK_CAP overrides the default work cap of
-the budgeted computations.
+cap exceeded.  Every subcommand takes --output and --format; `kac` also
+takes --seed, and `ssum` and `discrepancy` take --work-cap.
 """
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Optional
@@ -69,15 +67,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    output: Optional[str] = None
-    fmt: str = "json"
-    seed: int = 0
-    work_cap: int = 10**9
-
-
 def _fmt_value(v) -> str:
     if isinstance(v, float):
         return f"{v:.12g}"
@@ -88,17 +77,17 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _emit(config: RunConfig, fields, table: Optional[list[dict]] = None):
+def _emit(args, fields, table: Optional[list[dict]] = None):
     """Write one record (or a row table) as JSON or CSV, byte-stable."""
     record = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "command": config.command,
+        "command": args.command,
     }
     record.update(fields)
     if table is not None:
         record["rows"] = table
-    if config.fmt == "json":
+    if args.format == "json":
         text = json.dumps(record, sort_keys=True, default=_fmt_value) + "\n"
     else:
         rows = table if table is not None else [record]
@@ -107,8 +96,8 @@ def _emit(config: RunConfig, fields, table: Optional[list[dict]] = None):
         for row in rows:
             lines.append(",".join(_fmt_value(row.get(k, "")) for k in header))
         text = "\n".join(lines) + "\n"
-    if config.output:
-        with open(config.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -141,58 +130,59 @@ def _build_cutoff(args) -> CutoffF:
     return PsiCutoff(args.k, theta=args.theta, eps_k=args.eps_k)
 
 
-def _offsets(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(","))
+def _int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; anything else is a UsageError."""
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise UsageError(f"not a list of integers: {text!r}") from None
 
 
 # --- subcommand implementations --------------------------------------------
 
 
-def _cmd_pm(args, config):
+def _cmd_pm(args):
     res = pm(args.q, args.a, args.m, cap=args.cap)
-    _emit(config, {
+    _emit(args, {
         "q": args.q, "a": args.a, "m": args.m,
         "primes": list(res.primes), "p_m": res.p_m, "normalized": res.normalized,
     })
 
 
-def _cmd_min_pm(args, config):
+def _cmd_min_pm(args):
     a_star, res = min_pm(args.q, args.m, cap=args.cap)
-    _emit(config, {
+    _emit(args, {
         "q": args.q, "m": args.m, "a_star": a_star,
         "p_m": res.p_m, "primes": list(res.primes), "normalized": res.normalized,
     })
 
 
-def _cmd_census(args, config):
+def _cmd_census(args):
     count = cluster_census(args.q, args.m, args.X)
-    _emit(config, {"q": args.q, "m": args.m, "X": args.X, "count": count})
+    _emit(args, {"q": args.q, "m": args.m, "X": args.X, "count": count})
 
 
-def _cmd_tuple(args, config):
+def _cmd_tuple(args):
     t = narrowest_tuple(args.k)
-    _emit(config, {
+    _emit(args, {
         "k": t.k, "offsets": list(t.offsets), "diameter": t.diameter,
         "optimal": t.optimal,
     })
 
 
-def _cmd_budget_table(args, config):
+def _cmd_budget_table(args):
     h_budget = args.h_budget
     if h_budget is None and args.C is not None:
         h_budget = cluster_budget(args.m, args.C)
-    rows = theorem11_report(
-        [int(q) for q in args.q_list.split(",")], m=args.m,
-        h_budget=h_budget, cap=args.cap,
-    )
-    _emit(config, {"m": args.m}, table=[
+    rows = theorem11_report(args.q_list, m=args.m, h_budget=h_budget, cap=args.cap)
+    _emit(args, {"m": args.m}, table=[
         {"q": r.q, "a_star": r.a_star, "p_m": r.p_m, "ratio": r.ratio,
          "h_budget": r.h_budget, "passed": r.passed}
         for r in rows
     ])
 
 
-def _cmd_weights(args, config):
+def _cmd_weights(args):
     F = _build_cutoff(args)
     report = detection_ratio(F, theta=args.theta, C2=args.C2, m=args.m)
     fields = {
@@ -206,20 +196,20 @@ def _cmd_weights(args, config):
         fields["select_k"] = sel.k
         fields["select_rho_log10"] = sel.rho_log10
         fields["select_desk_scale"] = sel.desk_scale
-    _emit(config, fields)
+    _emit(args, fields)
 
 
-def _cmd_ssum(args, config):
-    offsets = _offsets(args.tuple)
+def _cmd_ssum(args):
+    offsets = args.tuple
     params = SieveParams.build(
         args.q, offsets, theta=args.theta, eps_k=args.eps_k,
         w_override=args.w_override,
     )
     F = TensorCutoff.ramp(len(offsets), args.support)
     rep = s_sum_bruteforce(
-        args.q, args.m, offsets, params, F, work_cap=config.work_cap
+        args.q, args.m, offsets, params, F, work_cap=args.work_cap
     )
-    _emit(config, {
+    _emit(args, {
         "q": rep.q, "m": rep.m, "k": rep.k, "offsets": list(rep.offsets),
         "w": params.w, "Wq": params.Wq, "b0": params.b0,
         "nonprime_sum": rep.nonprime_sum,
@@ -232,15 +222,15 @@ def _cmd_ssum(args, config):
     })
 
 
-def _cmd_discrepancy(args, config):
-    rep = discrepancy_reduced(args.q, args.R, work_cap=config.work_cap)
-    _emit(config, {
+def _cmd_discrepancy(args):
+    rep = discrepancy_reduced(args.q, args.R, work_cap=args.work_cap)
+    _emit(args, {
         "q": rep.q, "R": rep.R, "value": rep.value,
         "exact": rep.exact, "moduli_used": rep.moduli_used,
     })
 
 
-def _cmd_return_time(args, config):
+def _cmd_return_time(args):
     alpha = RealNumberSpec.parse(args.alpha)
     eps = args.eps
     if args.method == "bruteforce":
@@ -248,14 +238,14 @@ def _cmd_return_time(args, config):
         rep = return_time_bruteforce(alpha, eps, cap)
     else:
         rep = return_time(alpha, eps)
-    _emit(config, {
+    _emit(args, {
         "alpha": alpha.describe(), "epsilon": eps, "tau": rep.tau,
         "achieved": rep.achieved, "achieved_error": rep.achieved_error,
         "method": rep.method,
     })
 
 
-def _cmd_prop71(args, config):
+def _cmd_prop71(args):
     alpha = RealNumberSpec.parse(args.alpha)
     grid = [parse_fraction(t) for t in args.eps_grid.split(",")]
     rows = check_prop71(alpha, grid, delta=args.delta)
@@ -264,7 +254,7 @@ def _cmd_prop71(args, config):
     if est is not None and est.applicable:
         fields["type_exponent_max"] = est.exponent_max
         fields["type_liminf_proxy"] = est.liminf_proxy
-    _emit(config, fields, table=[
+    _emit(args, fields, table=[
         {"epsilon": r.epsilon, "tau": r.tau, "lower": r.lower,
          "upper": r.upper, "lower_ok": r.lower_ok, "upper_ok": r.upper_ok,
          "lower_kind": r.lower_kind}
@@ -272,36 +262,36 @@ def _cmd_prop71(args, config):
     ])
 
 
-def _cmd_visits(args, config):
+def _cmd_visits(args):
     system = _build_system(args)
     x0 = system.parse_point(args.x0)
     x = system.parse_point(args.x)
     primes = prime_visit_times(system, x0, x, args.eps, args.m, args.cap)
-    _emit(config, {
+    _emit(args, {
         "system": system.description, "epsilon": args.eps,
         "m": args.m, "primes": list(primes),
     })
 
 
-def _cmd_early_visit(args, config):
+def _cmd_early_visit(args):
     system = _build_system(args)
     x0 = system.parse_point(args.x0)
     cert = early_visit_search(system, x0, args.eps, args.m, h=args.h, cap=args.cap)
     ok, detail = verify_certificate(system, cert, x0)
-    _emit(config, {
+    _emit(args, {
         "certificate": json.loads(cert.to_json()),
         "reverified": ok, "problems": detail["problems"],
     })
 
 
-def _cmd_kac(args, config):
+def _cmd_kac(args):
     system = _build_system(args)
     x0 = system.parse_point(args.x0)
     rep = kac_empirical(
         system, x0, float(args.eps), n_samples=args.samples,
-        cap=args.cap, seed=config.seed,
+        cap=args.cap, seed=args.seed,
     )
-    _emit(config, {
+    _emit(args, {
         "system": system.description, "epsilon": args.eps,
         "mean_return": rep.mean_return, "target": rep.target,
         "relative_error": rep.relative_error, "n_samples": rep.n_samples,
@@ -309,7 +299,7 @@ def _cmd_kac(args, config):
     })
 
 
-def _cmd_verify(args, config):
+def _cmd_verify(args):
     from .acceptance import run_all
 
     only = args.only.split(",") if args.only else None
@@ -324,7 +314,7 @@ def _cmd_verify(args, config):
              "elapsed": r.elapsed, "budget": r.budget, "details": r.details}
             for r in results
         ]
-        _emit(config, {"passed": n_bad == 0}, table=table)
+        _emit(args, {"passed": n_bad == 0}, table=table)
     return EXIT_OK if n_bad == 0 else EXIT_CHECK_FAILED
 
 
@@ -345,8 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--work-cap", type=int, default=None)
 
     p = sub.add_parser("pm", help="m-th least prime in a progression")
     p.add_argument("--q", type=int, required=True)
@@ -372,7 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("budget-table", help="p_m vs h*q budget across moduli")
-    p.add_argument("--q-list", required=True, help="comma-separated moduli")
+    p.add_argument("--q-list", type=_int_list, required=True,
+                   help="comma-separated moduli")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--h-budget", type=float)
     p.add_argument("--C", type=float,
@@ -394,16 +383,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ssum", help="exact pigeonhole sum S over a residue class")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--tuple", required=True, help="offsets, e.g. 0,2,6")
+    p.add_argument("--tuple", type=_int_list, required=True,
+                   help="offsets, e.g. 0,2,6")
     p.add_argument("--support", type=float, default=0.125)
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--eps-k", type=float, default=0.0)
     p.add_argument("--w-override", type=int, default=None)
+    p.add_argument("--work-cap", type=int, default=10**9)
     common(p)
 
     p = sub.add_parser("discrepancy", help="reduced-residue discrepancy sum")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--R", type=int, required=True)
+    p.add_argument("--work-cap", type=int, default=10**9)
     common(p)
 
     p = sub.add_parser("return-time", help="first return time of a rotation")
@@ -454,6 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=parse_fraction, required=True)
     p.add_argument("--samples", type=int, default=10**4)
     p.add_argument("--cap", type=int, default=10**5)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
@@ -486,21 +479,11 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    except UsageError as exc:  # a malformed --eps, from parse_fraction
+    except UsageError as exc:  # a malformed number or integer list
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    work_cap = args.work_cap
-    if work_cap is None:
-        work_cap = int(os.environ.get("PVL_WORK_CAP", 10**9))
-    config = RunConfig(
-        command=args.command,
-        output=args.output,
-        fmt=args.format,
-        seed=args.seed,
-        work_cap=work_cap,
-    )
     try:
-        code = _HANDLERS[args.command](args, config)
+        code = _HANDLERS[args.command](args)
         return EXIT_OK if code is None else code
     except (BudgetExceeded, CapExceeded, RangeTooLarge) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -59,7 +59,6 @@ class PrimeClusterResult:
     """The m smallest primes in a progression and the normalized m-th one."""
 
     progression: Progression
-    m: int
     primes: tuple[int, ...]
 
     @property
@@ -123,7 +122,7 @@ def pm(q: int, a: int, m: int, cap: Optional[int] = None) -> PrimeClusterResult:
         raise UsageError(f"cap {cap} below modulus {q}")
     found = tuple(islice(walk_ap(q, a, cap), m))
     if len(found) == m:
-        return PrimeClusterResult(prog, m, found)
+        return PrimeClusterResult(prog, found)
     raise CapExceeded(
         f"only {len(found)} primes = {a} (mod {q}) up to {cap}, wanted {m}",
         cap=cap,
@@ -174,9 +173,7 @@ def min_pm(
             a_star, p_m = int(r[j]), int(ps[j])
             primes = primes_in_ap(q, a_star, p_m)
             assert len(primes) == m, f"internal: class {a_star} holds {primes}"
-            return a_star, PrimeClusterResult(
-                Progression(q, a_star), m, tuple(primes)
-            )
+            return a_star, PrimeClusterResult(Progression(q, a_star), tuple(primes))
         counts[classes] += sizes
     raise CapExceeded(
         f"no residue class mod {q} collected {m} primes up to {cap}",
@@ -289,11 +286,11 @@ def _greedy_tuple(k: int) -> tuple[int, ...]:
         L = int(L * 1.4) + 1
 
 
-def narrowest_tuple(k: int, cap: int = TUPLE_K_CAP) -> AdmissibleTuple:
+def narrowest_tuple(k: int) -> AdmissibleTuple:
     """Admissible k-tuple starting at 0 with minimal diameter for k <= 12;
     greedy (flagged non-optimal) above."""
-    if not 1 <= k <= cap:
-        raise KTooLarge(f"k={k} outside [1, {cap}]")
+    if not 1 <= k <= TUPLE_K_CAP:
+        raise KTooLarge(f"k={k} outside [1, {TUPLE_K_CAP}]")
     if k <= EXACT_TUPLE_K:
         offs = _exact_narrowest(k)
         optimal = True

@@ -36,7 +36,6 @@ class ContinuedFraction:
     """Partial quotients a_0; a_1, a_2, ... with their convergents p_n/q_n."""
 
     partial_quotients: tuple[int, ...]
-    exact: bool = True
     terminated: bool = False  # rational input fully expanded
     period: Optional[int] = None  # quadratic inputs: length of the cycle
 
@@ -250,7 +249,7 @@ class Decimal(RealNumberSpec):
             iv = frac.recip()
         if not out:
             raise PrecisionExhausted("cannot certify even the first quotient")
-        return ContinuedFraction(tuple(out), exact=False)
+        return ContinuedFraction(tuple(out))
 
     def describe(self) -> str:
         return f"dec:{self.digits}"
@@ -316,8 +315,6 @@ def cf_expand(alpha: RealNumberSpec, depth: int) -> ContinuedFraction:
 
 @dataclass(frozen=True)
 class ReturnTimeReport:
-    alpha: RealNumberSpec
-    epsilon: Fraction
     tau: int
     achieved: float  # ||tau * alpha||
     method: str  # 'convergent' | 'bruteforce'
@@ -367,9 +364,7 @@ def return_time(alpha: RealNumberSpec, epsilon: Number) -> ReturnTimeReport:
             last_q = q_n
             if _dist_lt(alpha, q_n, eps):
                 achieved, err = _dist_value(alpha, q_n)
-                return ReturnTimeReport(
-                    alpha, eps, q_n, achieved, "convergent", achieved_error=err
-                )
+                return ReturnTimeReport(q_n, achieved, "convergent", achieved_error=err)
         if cf.terminated or cf.depth < depth:
             raise PrecisionExhausted(
                 f"expansion exhausted at depth {cf.depth} before ||n*alpha|| < "
@@ -410,9 +405,7 @@ def return_time_bruteforce(
             cand = lo + int(idx)
             if _dist_lt(alpha, cand, eps):
                 achieved, err = _dist_value(alpha, cand)
-                return ReturnTimeReport(
-                    alpha, eps, cand, achieved, "bruteforce", achieved_error=err
-                )
+                return ReturnTimeReport(cand, achieved, "bruteforce", achieved_error=err)
     raise CapExceeded(
         f"no n <= {cap} with ||n*alpha|| < {float(eps)}", cap=cap,
         context={"alpha": alpha.describe()},
@@ -437,19 +430,14 @@ class TypeEstimate:
     applicable: bool
     exponent_max: Optional[float] = None
     liminf_proxy: Optional[float] = None
-    depth_used: int = 0
-    note: str = ""
 
 
 def type_estimate(alpha: RealNumberSpec, depth: int) -> TypeEstimate:
     if depth < 3:
         raise UsageError(f"depth must be >= 3, got {depth}")
     cf = cf_expand(alpha, depth)
-    if cf.terminated:
-        return TypeEstimate(
-            applicable=False, depth_used=cf.depth,
-            note="rational input: expansion terminates, type degenerate",
-        )
+    if cf.terminated:  # rational input: the type is degenerate
+        return TypeEstimate(applicable=False)
     qs = [q for _, q in cf.convergents]
     usable = [i for i in range(len(qs) - 1) if qs[i] >= 2]
     # liminf/limsup proxies: discard the shallow half as burn-in
@@ -464,17 +452,10 @@ def type_estimate(alpha: RealNumberSpec, depth: int) -> TypeEstimate:
             continue
         if dist > 0:
             proxies.append(log(qs[i]) / log(1.0 / dist))
-    if not exps or not proxies:
-        return TypeEstimate(
-            applicable=False, depth_used=cf.depth,
-            note="not enough certified convergents for an estimate",
-        )
+    if not exps or not proxies:  # too few certified convergents
+        return TypeEstimate(applicable=False)
     return TypeEstimate(
-        applicable=True,
-        exponent_max=max(exps),
-        liminf_proxy=min(proxies),
-        depth_used=cf.depth,
-        note="finite-depth estimate",
+        applicable=True, exponent_max=max(exps), liminf_proxy=min(proxies)
     )
 
 

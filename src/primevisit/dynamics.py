@@ -168,13 +168,6 @@ def cosh_dist_minus_one(z: UpperHalfPoint, w: UpperHalfPoint) -> Fraction:
     return (dx * dx + dy * dy) / (2 * z.im * w.im)
 
 
-def hyp_distance(z: UpperHalfPoint, w: UpperHalfPoint) -> float:
-    """Hyperbolic distance in the upper half-plane."""
-    v = float(cosh_dist_minus_one(z, w))
-    # acosh(1 + v), stable for small v
-    return 2.0 * asinh(sqrt(v / 2.0))
-
-
 def _round_half(x: Fraction) -> int:
     """Nearest integer (half rounds down)."""
     f = x + Fraction(1, 2)
@@ -184,34 +177,20 @@ def _round_half(x: Fraction) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class ReducedPoint:
-    point: UpperHalfPoint
-    word: str  # generators applied, e.g. "T^-5 S T^1"
-    gamma: UnimodularMatrix  # integer matrix with gamma(input) = point
-
-
-def reduce_fundamental(z: UpperHalfPoint, cap: int = _REDUCE_CAP) -> ReducedPoint:
+def reduce_fundamental(z: UpperHalfPoint) -> UpperHalfPoint:
     """Gauss reduction to |Re z| <= 1/2, |z| >= 1 (the standard fundamental
-    domain), tracking the word of generators applied."""
+    domain) by the generators T^t and S."""
     S = UnimodularMatrix(0, -1, 1, 0)
-    gamma = UnimodularMatrix.identity()
-    words: list[str] = []
     cur = z
-    for _ in range(cap):
+    for _ in range(_REDUCE_CAP):
         t = _round_half(cur.re)
         if t != 0:
-            shift = UnimodularMatrix(1, -t, 0, 1)
-            cur = shift.act(cur)
-            gamma = shift @ gamma
-            words.append(f"T^{-t}")
+            cur = UnimodularMatrix(1, -t, 0, 1).act(cur)
         if cur.norm_sq() < 1:
             cur = S.act(cur)
-            gamma = S @ gamma
-            words.append("S")
         else:
-            return ReducedPoint(cur, " ".join(words), gamma)
-    raise NonTermination(f"reduction did not terminate within {cap} steps")
+            return cur
+    raise NonTermination(f"reduction did not terminate within {_REDUCE_CAP} steps")
 
 
 def _translate_set() -> tuple[UnimodularMatrix, ...]:
@@ -551,12 +530,10 @@ class Mobius(System):
         )
 
     def iterate(self, x, n) -> UpperHalfPoint:
-        return reduce_fundamental(self.g.power(n).act(x)).point
+        return reduce_fundamental(self.g.power(n).act(x))
 
     def _quotient_distance(self, x, y) -> QuotientDistance:
-        return quotient_distance(
-            reduce_fundamental(x).point, reduce_fundamental(y).point
-        )
+        return quotient_distance(reduce_fundamental(x), reduce_fundamental(y))
 
     def dist(self, x, y) -> float:
         return self._quotient_distance(x, y).value
@@ -641,15 +618,6 @@ class EarlyVisitCertificate:
         return json.dumps(d, sort_keys=True)
 
 
-def _first_m_primes(m: int) -> list[int]:
-    out = []
-    for seg in iter_prime_segments(2, max(100, 20 * m)):
-        out.extend(map(int, seg.primes()))
-        if len(out) >= m:
-            return out[:m]
-    return out[:m]
-
-
 def early_visit_search(
     system: System,
     x0,
@@ -705,7 +673,7 @@ def _early_visit_once(
         q = first_return(system, x0, threshold, cap=cap)
 
     if q == 1:
-        a_star, primes = 0, _first_m_primes(m)
+        a_star, primes = 0, primes_in_ap(1, 0, max(100, 20 * m) - 1)[:m]
         p_m_val = primes[-1]
     else:
         pm_cap = max(default_cap(q, m), int(ceil(h * q)) + q)

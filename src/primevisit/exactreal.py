@@ -79,10 +79,6 @@ class QuadExt:
         """(sqrt(5) - 1) / 2, the fractional part of the golden ratio."""
         return cls(Fraction(-1, 2), Fraction(1, 2), 5)
 
-    @classmethod
-    def sqrt2_minus_1(cls) -> "QuadExt":
-        return cls(-1, 1, 2)
-
     # --- predicates ----------------------------------------------------
 
     @property
@@ -299,9 +295,9 @@ class RatInterval:
         return f"RatInterval({self.lo}, {self.hi})"
 
 
-def sqrt_interval(d: int, scale_bits: int = 128) -> RatInterval:
-    """Certified enclosure of sqrt(d) with ~scale_bits bits of precision."""
-    s = isqrt(d << (2 * scale_bits))
-    lo = Fraction(s, 1 << scale_bits)
-    hi = Fraction(s + 1, 1 << scale_bits)
+def sqrt_interval(d: int) -> RatInterval:
+    """Certified enclosure of sqrt(d) of width 2^-128."""
+    s = isqrt(d << 256)
+    lo = Fraction(s, 1 << 128)
+    hi = Fraction(s + 1, 1 << 128)
     return RatInterval(lo, hi)

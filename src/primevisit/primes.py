@@ -34,11 +34,6 @@ class PrimeRange:
     hi: int
     bits: np.ndarray  # bool, bits[i] set iff lo+i is prime
 
-    def is_prime_at(self, n: int) -> bool:
-        if not self.lo <= n < self.hi:
-            raise UsageError(f"{n} outside [{self.lo}, {self.hi})")
-        return bool(self.bits[n - self.lo])
-
     def primes(self) -> np.ndarray:
         return self.lo + np.flatnonzero(self.bits)
 

@@ -10,8 +10,9 @@ values a + q*h_i are prime.  This module computes:
   * the two cutoff families, one class each: TensorCutoff, a product of
     one-dimensional pieces, and PsiCutoff, Maynard's psi-product on the
     simplex;
-  * lambda_f divisor sums and the weights themselves, exactly, for tensor
-    cutoffs (the product of one-dimensional divisor sums);
+  * the divisor sums lambda_f(n) = sum_{d | n} mu(d) f(log d / log q) and
+    the weights themselves, exactly, for tensor cutoffs (the product of
+    one-dimensional divisor sums);
   * the singular integrals I(F), J_i(F) of the mixed derivative, methods of
     the cutoff: in closed form for TensorCutoff and by dimension-reduced grid
     quadrature for PsiCutoff (the Monte-Carlo cross-check of the grid lives
@@ -31,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import ceil, exp, floor, fsum, gcd, isqrt, log, log10, prod
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -269,13 +270,13 @@ class PsiCutoff(CutoffF):
 @dataclass(frozen=True)
 class SieveParams:
     """All sieve configuration: level of distribution theta, simplex shrink
-    eps_k, tuple length k, small-prime cutoff exponent rho, small-prime bound
-    w, primorial W_q, residue b0."""
+    eps_k, tuple length k, small-prime cutoff exponent rho = 1/(100k),
+    small-prime bound w, primorial W_q, residue b0."""
 
     theta: float
     eps_k: float
     k: int
-    rho: Union[Fraction, float]
+    rho: Fraction
     w: int
     Wq: int
     b0: int
@@ -287,7 +288,6 @@ class SieveParams:
         offsets: Sequence[int],
         theta: float = 0.5,
         eps_k: Optional[float] = None,
-        rho: Optional[Union[Fraction, float]] = None,
         w_override: Optional[int] = None,
     ) -> "SieveParams":
         k = len(offsets)
@@ -295,14 +295,11 @@ class SieveParams:
             raise UsageError("need at least one offset")
         if eps_k is None:
             eps_k = 1.0 / log(k) if k >= 2 else 0.0
-        if rho is None:
-            rho = Fraction(1, 100 * k)
-        if not 0 < Fraction(rho) <= Fraction(1, 100 * k):
-            raise InvalidParameter(f"need 0 < rho <= 1/(100k) = 1/{100 * k}")
         w, Wq = small_primorial_coprime(q, w_override)
         b0 = choose_b0(q, Wq, offsets)
         return cls(
-            theta=float(theta), eps_k=float(eps_k), k=k, rho=rho, w=w, Wq=Wq, b0=b0
+            theta=float(theta), eps_k=float(eps_k), k=k, rho=Fraction(1, 100 * k),
+            w=w, Wq=Wq, b0=b0,
         )
 
 
@@ -327,15 +324,10 @@ def _mu_divisors_bounded(primes: Sequence[int], cap: float) -> list[tuple[float,
     return out
 
 
-def lambda_f(n: int, f: PiecewiseLinear, q: int) -> float:
-    """sum over squarefree d | n of mu(d) * f(log d / log q), enumerating only
-    divisors inside the support (d <= q^s)."""
-    if n < 1:
-        raise UsageError(f"need n >= 1, got {n}")
-    return _lambda_from_primes(_distinct_primes(n), f, log(q))
-
-
 def _lambda_from_primes(primes: Sequence[int], f: PiecewiseLinear, logq: float) -> float:
+    """lambda_f(n) = sum over squarefree d | n of mu(d) * f(log d / log q),
+    from the distinct primes of n, enumerating only divisors inside the
+    support (d <= q^s)."""
     terms = [
         mu * f(ld / logq)
         for ld, mu in _mu_divisors_bounded(primes, f.support * logq)
@@ -442,7 +434,6 @@ class RatioReport:
     J_sum: float
     bound: Optional[float]  # (theta/2) log k - C2
     exceeds_bound: Optional[bool]
-    m: Optional[int]
     detects_m: Optional[bool]  # ratio > m - 1
 
 
@@ -468,7 +459,7 @@ def detection_ratio(
         exceeds = ratio > bound
     return RatioReport(
         ratio=ratio, I=I, J_sum=J_sum, bound=bound, exceeds_bound=exceeds,
-        m=m, detects_m=(ratio > m - 1) if m is not None else None,
+        detects_m=(ratio > m - 1) if m is not None else None,
     )
 
 
@@ -476,21 +467,14 @@ def detection_ratio(
 class SelectKRho:
     k: int
     rho_log10: float
-    rho: Optional[Fraction]  # materialized only for moderate k
     rho_ok_smallprime: bool  # rho <= 1/(100 k)
-    desk_scale: bool
-    note: str
-
-
-# largest k for which k^-k is materialized as an exact Fraction
-_RHO_EXACT_KMAX = 5000
+    desk_scale: bool  # k <= 12; larger k is proof-scale only
 
 
 def select_k_rho(m: int, theta: float, C2: float = 0.0) -> SelectKRho:
     """k = ceil(exp((2/theta)(m + C2))), rho = k^-k.
 
-    rho is reported in log10 always and as an exact Fraction when k is small
-    enough to materialize k^k.  k > 12 is proof-scale, not desk-scale.
+    rho is reported in log10.  k > 12 is proof-scale, not desk-scale.
     """
     if m < 2:
         raise UsageError(f"need m >= 2, got {m}")
@@ -499,14 +483,10 @@ def select_k_rho(m: int, theta: float, C2: float = 0.0) -> SelectKRho:
     if C2 < 0:
         raise UsageError(f"need C2 >= 0, got {C2}")
     k = ceil(exp((2.0 / theta) * (m + C2)))
-    rho = Fraction(1, k**k) if k <= _RHO_EXACT_KMAX else None
     # rho <= 1/(100k)  <=>  k^(k-1) >= 100
     ok = (k - 1) * log(k) >= log(100.0)
-    desk = k <= 12
-    note = "" if desk else f"k={k} is proof-scale; desk runs use small k directly"
     return SelectKRho(
-        k=k, rho_log10=-k * log10(k), rho=rho, rho_ok_smallprime=ok,
-        desk_scale=desk, note=note,
+        k=k, rho_log10=-k * log10(k), rho_ok_smallprime=ok, desk_scale=k <= 12
     )
 
 
@@ -646,7 +626,7 @@ def s_sum_bruteforce(
         flags[seg.lo : seg.hi] = seg.bits
 
     logq = log(q)
-    p_cut = floor(exp(float(Fraction(params.rho)) * logq))
+    p_cut = floor(exp(float(params.rho) * logq))
     step = params.Wq if params.Wq > 1 else 1
     start = params.b0 % step or step
 

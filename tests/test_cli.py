@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -43,12 +44,6 @@ def test_budget_exit_code(capsys):
     )
     assert code == 3
     assert "budget" in err.lower()
-
-
-def test_env_work_cap(capsys, monkeypatch):
-    monkeypatch.setenv("PVL_WORK_CAP", "10")
-    code, _, err = run_cli(capsys, "discrepancy", "--q", "10007", "--R", "90")
-    assert code == 3
 
 
 def test_byte_identical_output(tmp_path, capsys):
@@ -140,7 +135,10 @@ def test_usage_error_on_bad_subcommand(capsys):
      "--eps", "1/5"],
     ["early-visit", "--system", "mobius", "--g", "1,x,0,1", "--x0", "0,1",
      "--eps", "1/5"],
-], ids=["eps", "eps-zero-denominator", "eps-grid", "x0-shift", "x0-mobius", "g"])
+    ["ssum", "--q", "101", "--m", "2", "--tuple", "0,x"],
+    ["budget-table", "--q-list", "101,x"],
+], ids=["eps", "eps-zero-denominator", "eps-grid", "x0-shift", "x0-mobius", "g",
+        "tuple", "q-list"])
 def test_malformed_number_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -196,3 +194,83 @@ def test_kac_rotation_stratified_samples(capsys):
         doc = json.loads(out)
         assert code == 0 and doc["censored"] == 0
         assert doc["relative_error"] < 0.02
+
+
+class _Reads:
+    """The parsed arguments, recording the name of every attribute read."""
+
+    def __init__(self, args, seen):
+        self._args, self._seen = args, seen
+
+    def __getattr__(self, name):
+        self._seen.add(name)
+        return getattr(self._args, name)
+
+
+# per subcommand: (argv, exit code); together they reach every branch that
+# reads a flag (each --system, --method bruteforce, --family tensor, no
+# --h-budget, verify with --output)
+_EVERY_FLAG_RUNS = {
+    "pm": [(["--q", "7", "--a", "1", "--m", "2"], 0)],
+    "min-pm": [(["--q", "10", "--m", "2"], 0)],
+    "census": [(["--q", "10", "--m", "2", "--X", "13"], 0)],
+    "tuple": [(["--k", "3"], 0)],
+    "budget-table": [(["--q-list", "101,210", "--m", "3", "--C", "0.001"], 0)],
+    "weights": [(["--family", "tensor", "--k", "2", "--support", "0.1", "--m", "2"], 0),
+                (["--family", "psi", "--k", "3", "--theta", "1"], 0)],
+    "ssum": [(["--q", "1009", "--m", "2", "--tuple", "0,2,6", "--support", "0.05"], 0),
+             (["--q", "101", "--m", "2", "--tuple", "0,2", "--work-cap", "3"], 3)],
+    "discrepancy": [(["--q", "30", "--R", "5"], 0),
+                    (["--q", "30", "--R", "5", "--work-cap", "10"], 3)],
+    "return-time": [(["--alpha", "golden", "--eps", "1/10"], 0),
+                    (["--alpha", "golden", "--eps", "1/10", "--method", "bruteforce"], 0)],
+    "prop71": [(["--alpha", "golden", "--eps-grid", "1/10,1/100", "--depth", "5"], 0)],
+    "visits": [
+        (["--system", "shift", "--q", "4", "--x0", "0", "--x", "1", "--eps", "1/2",
+          "--m", "3", "--cap", "10000"], 0),
+        (["--system", "rotation", "--alpha", "golden", "--x0", "0", "--x", "1/2",
+          "--eps", "1/10", "--m", "2", "--cap", "100000"], 0),
+        (["--system", "mobius", "--g", "1,1/3,0,1", "--x0", "0,1", "--x", "0,1",
+          "--eps", "1/5", "--m", "1", "--cap", "1000"], 0),
+    ],
+    "early-visit": [
+        (["--system", "shift", "--q", "7", "--x0", "0", "--eps", "1/2"], 0),
+        (["--system", "rotation", "--alpha", "golden", "--x0", "0", "--eps", "1/10"], 0),
+        (["--system", "mobius", "--g", "1,3/10,0,1", "--x0", "0,1", "--eps", "1/5"], 0),
+    ],
+    "kac": [
+        (["--system", "shift", "--q", "7", "--x0", "0", "--eps", "1/2",
+          "--samples", "200"], 0),
+        (["--system", "rotation", "--alpha", "golden", "--x0", "0", "--eps", "1/20",
+          "--samples", "200", "--seed", "7"], 0),
+        # Moebius Kac statistics are refused, after --g is read
+        (["--system", "mobius", "--g", "1,1,0,1", "--x0", "0,1", "--eps", "1/5"], 2),
+    ],
+    "verify": [(["--only", "c08", "--output", "VERIFY_OUT"], 0)],
+}
+
+
+def test_every_flag_is_read(capsys, monkeypatch, tmp_path):
+    reads = {name: set() for name in cli._HANDLERS}
+    for name, handler in cli._HANDLERS.items():
+        def recording(args, *rest, handler=handler, seen=reads[name]):
+            return handler(_Reads(args, seen), *rest)
+        monkeypatch.setitem(cli._HANDLERS, name, recording)
+
+    out = str(tmp_path / "verify.json")
+    for command, runs in _EVERY_FLAG_RUNS.items():
+        for argv, want in runs:
+            argv = [out if a == "VERIFY_OUT" else a for a in argv]
+            code, _, err = run_cli(capsys, command, *argv)
+            assert code == want, (command, argv, err)
+
+    (subparsers,) = (a for a in cli._build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(_EVERY_FLAG_RUNS)
+    for command, parser in subparsers.choices.items():
+        dests = {a.dest for a in parser._actions if a.default != argparse.SUPPRESS}
+        assert dests | {"command"} <= reads[command], (command, dests - reads[command])
+
+    # a flag goes only where it is read
+    assert run_cli(capsys, "pm", "--q", "7", "--a", "1", "--m", "2", "--seed", "3")[0] == 2
+    assert run_cli(capsys, "tuple", "--k", "3", "--work-cap", "1")[0] == 2

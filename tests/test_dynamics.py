@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import sinh
+from math import asinh, sinh, sqrt
 
 import dataclasses
 
@@ -20,10 +20,10 @@ from primevisit.dynamics import (
     UnimodularMatrix,
     UpperHalfPoint,
     _cosh_m1_lt,
+    _round_half,
     cosh_dist_minus_one,
     early_visit_search,
     first_return,
-    hyp_distance,
     kac_empirical,
     mobius_ball_measure,
     prime_visit_times,
@@ -48,6 +48,13 @@ def _random_points(seed, n, re=(-8000, 8000), im=(50, 3000)):
                              Fraction(int(rng.integers(*im)), 1000))
 
 
+def hyp_distance(z, w):
+    """Hyperbolic distance in the upper half-plane, acosh(1 + v) written
+    stably for small v."""
+    v = float(cosh_dist_minus_one(z, w))
+    return 2.0 * asinh(sqrt(v / 2.0))
+
+
 def test_hyp_distance_examples():
     i = UpperHalfPoint(0, 1)
     assert hyp_distance(i, UpperHalfPoint(0, 2)) == pytest.approx(np.log(2))
@@ -60,33 +67,51 @@ def test_hyp_distance_examples():
         assert hyp_distance(z, w) == hyp_distance(w, z)
 
 
+def _reduce_tracking(z):
+    """The Gauss reduction of reduce_fundamental, also returning the word of
+    generators applied and the matrix gamma with gamma(z) = the result."""
+    S = UnimodularMatrix(0, -1, 1, 0)
+    gamma, words, cur = UnimodularMatrix.identity(), [], z
+    while True:
+        t = _round_half(cur.re)
+        if t != 0:
+            shift = UnimodularMatrix(1, -t, 0, 1)
+            cur, gamma = shift.act(cur), shift @ gamma
+            words.append(f"T^{-t}")
+        if cur.norm_sq() >= 1:
+            return cur, " ".join(words), gamma
+        cur, gamma = S.act(cur), S @ gamma
+        words.append("S")
+
+
 def test_reduce_examples():
-    rp = reduce_fundamental(UpperHalfPoint(0, 2))
-    assert (rp.point.re, rp.point.im) == (0, 2) and rp.word == ""
+    z = UpperHalfPoint(0, 2)
+    assert reduce_fundamental(z) == z and _reduce_tracking(z)[1] == ""
 
-    rp = reduce_fundamental(UpperHalfPoint(Fraction(7, 10), Fraction(4, 5)))
-    assert (rp.point.re, rp.point.im) == (Fraction(30, 73), Fraction(80, 73))
-    assert rp.word.split() == ["T^-1", "S"]
+    z = UpperHalfPoint(Fraction(7, 10), Fraction(4, 5))
+    assert reduce_fundamental(z) == UpperHalfPoint(Fraction(30, 73), Fraction(80, 73))
+    assert _reduce_tracking(z)[1].split() == ["T^-1", "S"]
 
-    rp = reduce_fundamental(UpperHalfPoint(Fraction(53, 10), Fraction(9, 10)))
-    assert rp.word.startswith("T^-5")
-    assert abs(rp.point.re) <= Fraction(1, 2) and rp.point.norm_sq() >= 1
+    z = UpperHalfPoint(Fraction(53, 10), Fraction(9, 10))
+    assert _reduce_tracking(z)[1].startswith("T^-5")
+    w = reduce_fundamental(z)
+    assert abs(w.re) <= Fraction(1, 2) and w.norm_sq() >= 1
 
 
 def test_reduce_gamma_tracks_word():
     for z in _random_points(17, 50):
-        rp = reduce_fundamental(z)
-        assert rp.gamma.act(z) == rp.point
-        assert abs(rp.point.re) <= Fraction(1, 2) and rp.point.norm_sq() >= 1
+        w, _, gamma = _reduce_tracking(z)
+        assert reduce_fundamental(z) == w == gamma.act(z)
+        assert abs(w.re) <= Fraction(1, 2) and w.norm_sq() >= 1
 
 
 def test_reduce_exact_points():
     z = UpperHalfPoint(Fraction(7, 10), Fraction(4, 5))
-    rp = reduce_fundamental(z)
-    assert isinstance(rp.point.re, Fraction) and isinstance(rp.point.im, Fraction)
+    w = reduce_fundamental(z)
+    assert isinstance(w.re, Fraction) and isinstance(w.im, Fraction)
     # T^-1 then S: -1/(-3/10 + 4i/5) = 30/73 + 80i/73, by hand
-    assert rp.point.re == Fraction(30, 73)
-    assert rp.point.im == Fraction(80, 73)
+    assert w.re == Fraction(30, 73)
+    assert w.im == Fraction(80, 73)
 
 
 def test_float_coordinates_refused():
@@ -191,10 +216,9 @@ def test_mobius_isometry_on_cover_and_quotient():
         z = UpperHalfPoint(Fraction(int(rng.integers(-40, 40)), 100),
                            Fraction(int(rng.integers(110, 200)), 100))
         w = UpperHalfPoint(z.re + Fraction(1, 37), z.im + Fraction(1, 53))
-        d0 = quotient_distance(reduce_fundamental(z).point,
-                               reduce_fundamental(w).point)
-        d1 = quotient_distance(reduce_fundamental(gamma.act(z)).point,
-                               reduce_fundamental(gamma.act(w)).point)
+        d0 = quotient_distance(reduce_fundamental(z), reduce_fundamental(w))
+        d1 = quotient_distance(reduce_fundamental(gamma.act(z)),
+                               reduce_fundamental(gamma.act(w)))
         if d0.exact_region and d1.exact_region:
             assert d1.cosh_minus_one == d0.cosh_minus_one
 

@@ -75,7 +75,7 @@ def test_sieve_agrees_with_is_prime():
     lo = int(rng.integers(10**9, 10**10))
     seg = sieve_range(lo, lo + 10**4)
     for n in range(lo, lo + 10**4, 97):
-        assert seg.is_prime_at(n) == is_prime(n)
+        assert bool(seg.bits[n - seg.lo]) == is_prime(n)
 
 
 def test_primes_in_ap_examples():

@@ -22,7 +22,6 @@ from primevisit.sieve_weights import (
     choose_b0,
     detection_ratio,
     discrepancy_reduced,
-    lambda_f,
     s_sum_bruteforce,
     select_k_rho,
     small_primorial_coprime,
@@ -49,6 +48,11 @@ def test_choose_b0_examples():
     assert all(
         any(gcd(b + 5 * h, 6) > 1 for h in (0, 2)) for b in range(1, b0)
     )  # minimality
+
+
+def lambda_f(n, f, q):
+    """sum over squarefree d | n of mu(d) * f(log d / log q)."""
+    return _lambda_from_primes(list(factorize(n)), f, log(q))
 
 
 def test_lambda_f_basics():
@@ -222,7 +226,6 @@ def test_psi_ratio_grows_with_k():
 def test_select_k_rho():
     s = select_k_rho(2, 0.5)
     assert s.k == 2981 and not s.desk_scale
-    assert s.rho is not None and s.rho == Fraction(1, 2981**2981)
     assert select_k_rho(2, 1.0).k == 55
     # monotone in C2
     ks = [select_k_rho(2, 1.0, C2=c).k for c in (0.0, 0.5, 1.0, 2.0)]
