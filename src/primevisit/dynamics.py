@@ -1,17 +1,20 @@
-"""Metric-measure-preserving systems and prime-time visits.
+"""Metric systems and prime-time visits.
 
 Three concrete systems: the right shift on Z/q (discrete metric, counting
-measure), irrational circle rotations (circle metric, Lebesgue), and Moebius
-actions on the modular surface (quotient hyperbolic metric, normalized
-hyperbolic area).  On top of them: first return times, the m-th prime visit
-time to a ball, the early-visit search that pigeonholes a prime cluster into
-a progression of return times, and empirical mean-return statistics.
+measure), irrational circle rotations (circle metric, Lebesgue), and the
+orbits of a Moebius map projected to the modular surface (quotient
+hyperbolic metric, normalized hyperbolic area).  On top of them: first
+return times, the m-th prime visit time to a ball, the early-visit search
+that pigeonholes a prime cluster into a progression of return times, and
+empirical mean-return statistics.
 
 Each system is a class (Shift, Rotation, Mobius) whose methods carry its
 geometry and its exact fast paths.  Everything a certificate depends on is
 exact: shift systems are integer arithmetic; rotations with rational or
-quadratic angles use quadratic-field arithmetic; Moebius systems use
-`UnimodularMatrix` and `UpperHalfPoint`, whose entries are Fractions by type
+quadratic angles use quadratic-field arithmetic; Moebius systems take
+`UnimodularMatrix` and `UpperHalfPoint`, whose entries are Fractions by
+type, and compute orbits and distances in integers, a point z = (x + iy)/d
+as (x, y, d) and a matrix over the common denominator of its entries
 (parabolic powers are closed form, so orbits stay cheap).  Certificates keep
 the radii they were searched at as Fractions.
 """
@@ -19,14 +22,15 @@ the radii they were searched at as Fractions.
 import json
 from dataclasses import dataclass, asdict
 from fractions import Fraction
-from itertools import count
-from math import asinh, ceil, sinh, sqrt
+from itertools import count, islice
+from math import asinh, ceil, gcd, lcm, log10, sinh, sqrt
 from typing import Optional
 
 import numpy as np
 
 from . import __version__ as _pkg_version
 from .errors import (
+    BudgetExceeded,
     CapExceeded,
     InvalidParameter,
     NonTermination,
@@ -37,7 +41,7 @@ from .errors import (
 from .exactreal import QuadExt
 from .clusters import min_pm, default_cap
 from .contfrac import Decimal, Rational, RealNumberSpec, return_time
-from .primes import is_prime, iter_prime_segments, primes_in_ap
+from .primes import is_prime, iter_prime_segments, primes_in_ap, walk_ap
 
 # Default cluster budget h for pair searches (m = 2); other m need an
 # explicit budget of shape C * m * exp(4m).
@@ -91,6 +95,20 @@ class UpperHalfPoint:
         return self.re * self.re + self.im * self.im
 
 
+# The kernel below works on a point z = (x + iy)/d as the integer triple
+# (x, y, d); _triple gives the one triple with gcd(x, y, d) = 1 and d > 0.
+
+
+def _triple(z: UpperHalfPoint) -> tuple[int, int, int]:
+    re, im = z.re, z.im
+    d = lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+
+
+def _point(x: int, y: int, d: int) -> UpperHalfPoint:
+    return UpperHalfPoint(Fraction(x, d), Fraction(y, d))
+
+
 @dataclass(frozen=True)
 class UnimodularMatrix:
     """2x2 rational matrix with det exactly 1: ints are stored as
@@ -104,9 +122,9 @@ class UnimodularMatrix:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, _rational(getattr(self, name), name))
-        det = self.a * self.d - self.b * self.c
-        if det != 1:
-            raise InvalidParameter(f"det = {det} != 1")
+        a, b, c, d, e = self._integer_form()
+        if a * d - b * c != e * e:
+            raise InvalidParameter(f"det = {Fraction(a * d - b * c, e * e)} != 1")
 
     @classmethod
     def identity(cls) -> "UnimodularMatrix":
@@ -123,97 +141,85 @@ class UnimodularMatrix:
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
 
+    def _integer_form(self) -> tuple[int, int, int, int, int]:
+        """(A, B, C, D, e): the entries are A/e, B/e, C/e, D/e over their
+        least common denominator e, so det = 1 reads AD - BC = e^2."""
+        e = lcm(*(v.denominator for v in self.entries()))
+        return (*(v.numerator * (e // v.denominator) for v in self.entries()), e)
+
     def act(self, z: UpperHalfPoint) -> UpperHalfPoint:
-        """Moebius action (az+b)/(cz+d), exactly."""
-        x, y = z.re, z.im
-        u = self.c * x + self.d
-        v = self.c * y
-        den = u * u + v * v
-        re = ((self.a * x + self.b) * u + self.a * y * v) / den
-        im = y / den  # det = 1
-        return UpperHalfPoint(re, im)
+        """Moebius action (az+b)/(cz+d), exactly, in integers: with
+        z = (x + iy)/d and Z = x + iy the image is (AZ + Bd)/(CZ + Dd), and
+        the imaginary part of (AZ + Bd) conj(CZ + Dd) is (AD - BC) d y."""
+        a, b, c, dd, e = self._integer_form()
+        x, y, d = _triple(z)
+        u, v = c * x + dd * d, c * y
+        return _point((a * x + b * d) * u + a * y * v, e * e * d * y, u * u + v * v)
 
     def power(self, n: int) -> "UnimodularMatrix":
-        """g^n: closed form I + nN for parabolic g = s(I + N), s = +-1 (the
-        power of the +I representative; the Moebius action ignores the
-        sign), binary powering otherwise."""
+        """g^n, in integers over a power of the common denominator: closed
+        form I + nN for parabolic g = s(I + N), s = +-1 (the power of the +I
+        representative; the Moebius action ignores the sign), binary
+        powering otherwise."""
         if n == 0:
             return UnimodularMatrix.identity()
         if n < 0:
             inv = UnimodularMatrix(self.d, -self.b, -self.c, self.a)
             return inv.power(-n)
-        tr = self.a + self.d
-        if tr == 2 or tr == -2:
+        a, b, c, d, e = self._integer_form()
+        tr = a + d  # the trace is tr/e
+        if tr == 2 * e or tr == -2 * e:
             # N = s g - I has trace 0 and det 1 - s tr + 1 = 0, so N^2 = 0
-            s = 1 if tr == 2 else -1
-            return UnimodularMatrix(
-                1 + n * (s * self.a - 1), n * s * self.b, n * s * self.c,
-                1 + n * (s * self.d - 1),
-            )
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result @ base
-            n >>= 1
-            if n:
-                base = base @ base
-        return result
+            s = 1 if tr > 0 else -1
+            m = (e + n * (s * a - e), n * s * b, n * s * c, e + n * (s * d - e))
+        else:
+            e, m = e ** n, _int_matrix_power((a, b, c, d), n)
+        return UnimodularMatrix(*(Fraction(v, e) for v in m))
 
 
-def cosh_dist_minus_one(z: UpperHalfPoint, w: UpperHalfPoint) -> Fraction:
-    """cosh d(z, w) - 1 = |z - w|^2 / (2 Im z Im w), exactly."""
-    dx = z.re - w.re
-    dy = z.im - w.im
-    return (dx * dx + dy * dy) / (2 * z.im * w.im)
+def _int_matrix_power(m: tuple[int, int, int, int], n: int) -> tuple[int, int, int, int]:
+    """m^n for an integer 2x2 matrix (a, b, c, d) and n >= 1, by squaring."""
+    def mul(p, q):
+        return (p[0] * q[0] + p[1] * q[2], p[0] * q[1] + p[1] * q[3],
+                p[2] * q[0] + p[3] * q[2], p[2] * q[1] + p[3] * q[3])
 
-
-def _round_half(x: Fraction) -> int:
-    """Nearest integer (half rounds down)."""
-    f = x + Fraction(1, 2)
-    n = f.numerator // f.denominator
-    if f == n:  # exactly .5: prefer the smaller shift
-        return n - 1 if n > 0 else n
-    return n
+    result = None
+    while n:
+        if n & 1:
+            result = m if result is None else mul(result, m)
+        n >>= 1
+        if n:
+            m = mul(m, m)
+    return result
 
 
 def reduce_fundamental(z: UpperHalfPoint) -> UpperHalfPoint:
     """Gauss reduction to |Re z| <= 1/2, |z| >= 1 (the standard fundamental
-    domain) by the generators T^t and S."""
-    S = UnimodularMatrix(0, -1, 1, 0)
-    cur = z
-    for _ in range(_REDUCE_CAP):
-        t = _round_half(cur.re)
-        if t != 0:
-            cur = UnimodularMatrix(1, -t, 0, 1).act(cur)
-        if cur.norm_sq() < 1:
-            cur = S.act(cur)
-        else:
-            return cur
+    domain) by the generators T^t and S, in integers; a reduced z comes back
+    as itself."""
+    x, y, d = _triple(z)
+    for step in range(_REDUCE_CAP):
+        # t = the integer nearest x/d, an exact half rounding towards zero
+        t, r = divmod(2 * x + d, 2 * d)
+        if r == 0 and t > 0:
+            t -= 1
+        x -= t * d
+        n = x * x + y * y
+        if n >= d * d:
+            return z if step == 0 and t == 0 else _point(x, y, d)
+        # S: z -> -1/z = (-x + iy) d / (x^2 + y^2)
+        x, y, d = -x * d, y * d, n
+        g = gcd(x, y, d)
+        x, y, d = x // g, y // g, d // g
     raise NonTermination(f"reduction did not terminate within {_REDUCE_CAP} steps")
 
 
-def _translate_set() -> tuple[UnimodularMatrix, ...]:
-    """Identity, T^{+-1}, S and their distinct length-2 words (actions
-    deduplicated up to sign)."""
-    T = UnimodularMatrix(1, 1, 0, 1)
-    Ti = UnimodularMatrix(1, -1, 0, 1)
-    S = UnimodularMatrix(0, -1, 1, 0)
-    gens = [T, Ti, S]
-    out = [UnimodularMatrix.identity()] + gens
-    for g1 in gens:
-        for g2 in gens:
-            out.append(g1 @ g2)
-    seen = {}
-    for m in out:
-        key = m.entries()
-        neg = tuple(-v for v in key)
-        if key not in seen and neg not in seen:
-            seen[key] = m
-    return tuple(seen.values())
-
-
-_TRANSLATES = _translate_set()
+# Identity, T^{+-1}, S and their distinct length-2 words, up to sign, as
+# integer (a, b, c, d).
+_TRANSLATES = (
+    (1, 0, 0, 1), (1, 1, 0, 1), (1, -1, 0, 1), (0, -1, 1, 0), (1, 2, 0, 1),
+    (1, -2, 0, 1), (1, -1, 1, 0), (-1, -1, 1, 0), (0, -1, 1, 1), (0, -1, 1, -1),
+)
 
 
 @dataclass(frozen=True)
@@ -226,15 +232,37 @@ class QuotientDistance:
 def quotient_distance(z: UpperHalfPoint, w: UpperHalfPoint) -> QuotientDistance:
     """min over the finite translate set of d(z, gamma w); callers reduce
     first.  Exact on the quotient whenever the minimum is below the
-    injectivity-radius guard."""
+    injectivity-radius guard.
+
+    Exact integer arithmetic: for det gamma = 1, cosh d(z, gamma w) - 1 =
+    |z (cw + d) - (aw + b)|^2 / (2 Im z Im w).  With z = Z/d1 and w = W/d2
+    (Z, W Gaussian integers) that is |N|^2 / (2 y1 y2 d1 d2), where
+    N = Z (cW + d d2) - d1 (aW + b d2).  Every translate shares the
+    denominator, so the minimum is taken over the integers |N|^2.
+    """
+    x1, y1, d1 = _triple(z)
+    x2, y2, d2 = _triple(w)
     best = None
-    for g in _TRANSLATES:
-        v = cosh_dist_minus_one(z, g.act(w))
-        if best is None or v < best:
-            best = v
-    val = 2.0 * asinh(sqrt(float(best) / 2.0))
+    for a, b, c, d in _TRANSLATES:
+        ur, ui = c * x2 + d * d2, c * y2  # cW + d d2
+        vr, vi = a * x2 + b * d2, a * y2  # aW + b d2
+        nr = x1 * ur - y1 * ui - d1 * vr
+        ni = x1 * ui + y1 * ur - d1 * vi
+        n = nr * nr + ni * ni
+        if best is None or n < best:
+            best = n
+    cosh_m1 = Fraction(best, 2 * y1 * y2 * d1 * d2)
+    try:
+        val = 2.0 * asinh(sqrt(float(cosh_m1) / 2.0))
+    except OverflowError:
+        # digits from logs: str() refuses ints of more than 4,300 digits
+        digits = int(log10(cosh_m1.numerator) - log10(cosh_m1.denominator)) + 1
+        raise BudgetExceeded(
+            f"cosh d - 1 (a {digits}-digit number) left float range: a point "
+            "lies deep in the cusp"
+        ) from None
     return QuotientDistance(
-        value=val, exact_region=val < INJECTIVITY_GUARD, cosh_minus_one=best
+        value=val, exact_region=val < INJECTIVITY_GUARD, cosh_minus_one=cosh_m1
     )
 
 
@@ -282,16 +310,19 @@ def _to_eps_fraction(epsilon: Fraction) -> Fraction:
 
 
 class System:
-    """A metric space with a measure-preserving isometry T and ball measures.
+    """A metric space with ball measures and an orbit n -> T^n x.
+
+    For the shift and the rotations T is a measure-preserving isometry of
+    the space; a Mobius system is the projected orbit described in Mobius.
 
     Each subclass has `description` and these methods: iterate(x, n) = T^n x
     (closed forms or matrix powers, not repeated composition); dist(x, y), a
     float; dist_lt(x, y, eps), the certified comparison d(x, y) < eps that
-    searches and certificate checks use; ball_measure(x, eps) in [0, 1];
-    point_repr(x) for certificates; and parse_point(text), which reads a
-    point from CLI text and answers malformed text with a UsageError.  The
-    scans below are generic; a subclass overrides them where it has an exact
-    fast path.
+    searches and certificate checks use; ball(x, eps), the same test with
+    its centre fixed; ball_measure(x, eps) in [0, 1]; point_repr(x) for
+    certificates; and parse_point(text), which reads a point from CLI text
+    and answers malformed text with a UsageError.  The scans below are
+    generic; a subclass overrides them where it has an exact fast path.
     """
 
     description: str
@@ -304,9 +335,13 @@ class System:
             if mu <= 0:
                 raise InvalidParameter("ball has measure zero at this radius")
             cap = max(1000, ceil(2.0 / mu))
+        inside = self.ball(x0, eps)
         for n in range(1, cap + 1):
-            if self.dist_lt(self.iterate(x0, n), x0, eps):
-                return n
+            try:
+                if inside(self.iterate(x0, n)):
+                    return n
+            except BudgetExceeded as exc:
+                raise BudgetExceeded(f"at step n = {n}, {exc}") from exc
         raise CapExceeded(
             f"no return within {cap} steps (recurrence bound mu(B(x0; eps/2))^-1 "
             f"= {1.0 / mu:.3g})",
@@ -317,14 +352,20 @@ class System:
     def prime_visits(self, x0, x, eps: Fraction, m: int, cap: int) -> list[int]:
         """The m smallest primes p <= cap with d(T^p x0, x) < eps, by testing
         every prime in turn."""
+        inside = self.ball(x, eps)
         found = []
         for seg in iter_prime_segments(2, cap + 1):
             for p in map(int, seg.primes()):
-                if self.dist_lt(self.iterate(x0, p), x, eps):
+                if inside(self.iterate(x0, p)):
                     found.append(p)
                     if len(found) == m:
                         return found
         raise CapExceeded(f"only {len(found)} prime visits up to {cap}", cap=cap)
+
+    def ball(self, x, eps: Fraction):
+        """The test y -> d(y, x) < eps of the open ball B(x; eps), for scans
+        that test many points against one centre."""
+        return lambda y: self.dist_lt(y, x, eps)
 
     def kac(self, x0, eps: float, target: float, n_samples: int, cap: int,
             seed: int) -> "KacReport":
@@ -371,10 +412,16 @@ class Shift(System):
         return self.q if eps <= 1 else 1
 
     def prime_visits(self, x0, x, eps: Fraction, m: int, cap: int) -> list[int]:
-        """Visits to a point are the primes in one progression mod q."""
+        """Visits to a point are the primes in one progression mod q: its
+        first m primes, walked, for a reduced class; a class that is not
+        reduced holds at most one prime."""
         if eps > 1:
             return super().prime_visits(x0, x, eps, m, cap)
-        found = primes_in_ap(self.q, (x - x0) % self.q, cap)[:m]
+        r = (x - x0) % self.q
+        if gcd(r, self.q) == 1:
+            found = list(islice(walk_ap(self.q, r, cap), m))
+        else:
+            found = primes_in_ap(self.q, r, cap)[:m]
         if len(found) < m:
             raise CapExceeded(f"only {len(found)} prime visits up to {cap}", cap=cap)
         return found
@@ -517,10 +564,16 @@ def mobius_ball_measure(eps: float) -> float:
 
 class Mobius(System):
     """X = fundamental domain of the modular group, quotient hyperbolic
-    distance, normalized hyperbolic measure (density (3/pi) y^-2); the map
-    is z -> g z with orbits computed by matrix powers and reduced back to
-    the fundamental domain.  The orbit is exact because g is: float matrix
-    powers would drift from the true orbit within a few dozen steps.
+    distance, normalized hyperbolic measure (density (3/pi) y^-2).
+
+    The system computes the projected orbit: T^n x is g^n x on the upper
+    half-plane, reduced back to the fundamental domain.  Only g in PSL2(Z)
+    passes to the surface, and it fixes every point there; for any other g
+    the orbit is not that of a map of X, isometric or measure-preserving.
+    The orbit is exact because g is: float matrix powers would drift from
+    the true orbit within a few dozen steps.  Orbits and distances are
+    exact integer arithmetic (see UnimodularMatrix.act, reduce_fundamental
+    and quotient_distance).
     """
 
     def __init__(self, g: UnimodularMatrix):
@@ -532,14 +585,18 @@ class Mobius(System):
     def iterate(self, x, n) -> UpperHalfPoint:
         return reduce_fundamental(self.g.power(n).act(x))
 
-    def _quotient_distance(self, x, y) -> QuotientDistance:
-        return quotient_distance(reduce_fundamental(x), reduce_fundamental(y))
-
     def dist(self, x, y) -> float:
-        return self._quotient_distance(x, y).value
+        return quotient_distance(reduce_fundamental(x), reduce_fundamental(y)).value
 
     def dist_lt(self, x, y, eps) -> bool:
-        return _cosh_m1_lt(self._quotient_distance(x, y).cosh_minus_one, Fraction(eps))
+        return self.ball(y, eps)(x)
+
+    def ball(self, x, eps):
+        # the centre is reduced once for every point tested against it
+        centre, eps = reduce_fundamental(x), Fraction(eps)
+        return lambda y: _cosh_m1_lt(
+            quotient_distance(reduce_fundamental(y), centre).cosh_minus_one, eps
+        )
 
     def ball_measure(self, x, eps) -> float:
         return mobius_ball_measure(float(eps))

@@ -94,6 +94,70 @@ def test_visits_and_early_visit(capsys):
     assert doc["certificate"]["primes"] == [3, 13]
 
 
+
+# Moebius early-visit stdout, byte for byte: two shears (one from an
+# off-axis x0) and an elliptic matrix, whose orbit needs S reductions and
+# returns at a nonzero distance.
+_MOBIUS_EARLY_VISITS = [
+    (('--g', '1,3/10,0,1', '--x0', '0,1', '--eps', '0.2'),
+     '{"certificate": {"a_star": 3, "degenerate": false, "distances": [0.0, '
+     '0.0], "epsilon": "1/5", "h": 270.0, "m": 2, "mu_ball_quarter": 1.02880'
+     '65873022594e-07, "primes": [3, 13], "q_bound_ok": true, "q_return": 10'
+     ', "return_threshold": "1/2700", "schema_version": 2, "system": "Moebiu'
+     's action by (1.0, 0.3, 0.0, 1.0) on the modular surface", "tolerances"'
+     ': {"injectivity_guard": 0.4}, "tool_version": "0.1.0", "x0_repr": "(Fr'
+     'action(0, 1), Fraction(1, 1))", "x_star_repr": "(Fraction(-1, 10), Fra'
+     'ction(1, 1))"}, "command": "early-visit", "problems": [], "reverified"'
+     ': true, "schema_version": 1, "tool_version": "0.1.0"}\n'
+     ),
+    (('--g', '1,2/7,0,1', '--x0=-1/2,5/4', '--eps', '17/100'),
+     '{"certificate": {"a_star": 3, "degenerate": false, "distances": [0.0, '
+     '0.0], "epsilon": "17/100", "h": 270.0, "m": 2, "mu_ball_quarter": 7.43'
+     '3127587364067e-08, "primes": [3, 17], "q_bound_ok": true, "q_return": '
+     '7, "return_threshold": "17/54000", "schema_version": 2, "system": "Moe'
+     'bius action by (1.0, 0.2857142857142857, 0.0, 1.0) on the modular surf'
+     'ace", "tolerances": {"injectivity_guard": 0.4}, "tool_version": "0.1.0'
+     '", "x0_repr": "(Fraction(-1, 2), Fraction(5, 4))", "x_star_repr": "(Fr'
+     'action(5, 14), Fraction(5, 4))"}, "command": "early-visit", "problems"'
+     ': [], "reverified": true, "schema_version": 1, "tool_version": "0.1.0"'
+     '}\n'
+     ),
+    (('--g', '3/5,-4/5,4/5,3/5', '--x0', '0,2', '--eps', '1/2', '--h', '20'),
+     '{"certificate": {"a_star": 7, "degenerate": false, "distances": [0.0, '
+     '0.010550620513592877], "epsilon": "1/2", "h": 20.0, "m": 2, "mu_ball_q'
+     'uarter": 0.00011718788147022327, "primes": [7, 173], "q_bound_ok": tru'
+     'e, "q_return": 83, "return_threshold": "1/80", "schema_version": 2, "s'
+     'ystem": "Moebius action by (0.6, -0.8, 0.8, 0.6) on the modular surfac'
+     'e", "tolerances": {"injectivity_guard": 0.4}, "tool_version": "0.1.0",'
+     ' "x0_repr": "(Fraction(0, 1), Fraction(2, 1))", "x_star_repr": "(Fract'
+     'ion(-3185764957, 6883465753), Fraction(12207031250, 6883465753))"}, "c'
+     'ommand": "early-visit", "problems": [], "reverified": true, "schema_ve'
+     'rsion": 1, "tool_version": "0.1.0"}\n'
+     ),
+]
+
+
+@pytest.mark.parametrize("argv,want", _MOBIUS_EARLY_VISITS,
+                         ids=["shear", "shear-off-axis", "elliptic"])
+def test_mobius_early_visit_bytes(capsys, argv, want):
+    code, out, err = run_cli(capsys, "early-visit", "--system", "mobius", *argv)
+    assert code == 0 and err == ""
+    assert out == want
+
+
+def test_mobius_cusp_is_a_budget_error(capsys):
+    # the orbit of i under this hyperbolic matrix climbs the cusp: at step
+    # 513 of the return-time scan cosh d - 1 no longer fits a float
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "early-visit", "--system", "mobius", "--g",
+                             "3/2,1/2,1,1", "--x0", "0,1", "--eps", "1/5")
+    assert time.perf_counter() - start < 2.0
+    assert code == 3 and out == ""
+    assert err.startswith("budget exceeded: at step n = 513, cosh d - 1 ")
+    assert "left float range" in err and err.count("\n") == 1
+
 def test_early_visit_rotation_cli(capsys):
     code, out, _ = run_cli(
         capsys, "early-visit", "--system", "rotation", "--alpha", "golden",

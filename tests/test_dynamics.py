@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primevisit.errors import CapExceeded, InvalidParameter, SearchFailed, UsageError
+from primevisit.errors import (
+    BudgetExceeded,
+    CapExceeded,
+    InvalidParameter,
+    SearchFailed,
+    UsageError,
+)
 from primevisit.exactreal import QuadExt
 from primevisit.contfrac import Quadratic, Rational
 from primevisit.clusters import pm
@@ -19,9 +25,8 @@ from primevisit.dynamics import (
     System,
     UnimodularMatrix,
     UpperHalfPoint,
+    _TRANSLATES,
     _cosh_m1_lt,
-    _round_half,
-    cosh_dist_minus_one,
     early_visit_search,
     first_return,
     kac_empirical,
@@ -48,6 +53,114 @@ def _random_points(seed, n, re=(-8000, 8000), im=(50, 3000)):
                              Fraction(int(rng.integers(*im)), 1000))
 
 
+# --- Fraction oracles for the integer kernel ------------------------------------
+
+
+def cosh_dist_minus_one(z, w):
+    """cosh d(z, w) - 1 = |z - w|^2 / (2 Im z Im w), in Fractions."""
+    dx = z.re - w.re
+    dy = z.im - w.im
+    return (dx * dx + dy * dy) / (2 * z.im * w.im)
+
+
+def act_fractions(g, z):
+    """The Moebius action (az+b)/(cz+d), in Fractions."""
+    x, y = z.re, z.im
+    u = g.c * x + g.d
+    v = g.c * y
+    den = u * u + v * v
+    return UpperHalfPoint(((g.a * x + g.b) * u + g.a * y * v) / den, y / den)
+
+
+def round_half(x):
+    """The integer nearest x, an exact half rounding towards zero."""
+    f = x + Fraction(1, 2)
+    n = f.numerator // f.denominator
+    if f == n:
+        return n - 1 if n > 0 else n
+    return n
+
+
+_T = UnimodularMatrix(1, 1, 0, 1)
+_S = UnimodularMatrix(0, -1, 1, 0)
+
+
+def translate_words():
+    """Identity, T^{+-1}, S and their distinct length-2 words, deduplicated
+    up to sign."""
+    gens = [_T, UnimodularMatrix(1, -1, 0, 1), _S]
+    words = [UnimodularMatrix.identity(), *gens] + [g1 @ g2 for g1 in gens for g2 in gens]
+    seen = {}
+    for g in words:
+        key = g.entries()
+        if key not in seen and tuple(-v for v in key) not in seen:
+            seen[key] = g
+    return tuple(seen.values())
+
+
+_WORDS = translate_words()
+
+
+def quotient_cosh_m1(z, w):
+    """min over the translate words of cosh d(z, gamma w) - 1, in Fractions."""
+    return min(cosh_dist_minus_one(z, act_fractions(g, w)) for g in _WORDS)
+
+
+def test_translates_are_the_words():
+    assert set(_TRANSLATES) == {tuple(map(int, g.entries())) for g in _WORDS}
+    assert len(_TRANSLATES) == len(_WORDS) == 10
+
+
+@st.composite
+def _points(draw):
+    """Points with denominators up to 10^12."""
+    re = draw(st.fractions(min_value=-3, max_value=3, max_denominator=10**12))
+    im = draw(st.fractions(min_value=Fraction(1, 1000), max_value=4, max_denominator=10**12))
+    return UpperHalfPoint(re, im)
+
+
+@settings(deadline=None, max_examples=100)
+@given(z=_points(), w=_points())
+@example(z=UpperHalfPoint(Fraction(-49, 100), Fraction(6, 5)),
+         w=UpperHalfPoint(Fraction(49, 100), Fraction(6, 5)))
+def test_quotient_distance_matches_fraction_oracle(z, w):
+    for a, b in ((z, w), (reduce_fundamental(z), reduce_fundamental(w))):
+        want = quotient_cosh_m1(a, b)
+        qd = quotient_distance(a, b)
+        assert qd.cosh_minus_one == want
+        assert qd.value == 2.0 * asinh(sqrt(float(want) / 2.0))
+
+
+_ENTRY = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
+
+
+@settings(deadline=None, max_examples=50)
+@given(b=_ENTRY, c=_ENTRY, b2=_ENTRY, z=_points())
+def test_act_matches_fraction_oracle(b, c, b2, z):
+    lower = UnimodularMatrix(1, 0, c, 1)
+    g = UnimodularMatrix(1, b, 0, 1) @ lower @ UnimodularMatrix(1, b2, 0, 1)
+    for m in (g, lower, g.power(3)):
+        assert m.act(z) == act_fractions(m, z)
+
+
+def test_det_checked_exactly():
+    UnimodularMatrix(Fraction(3, 2), Fraction(1, 2), 1, 1)
+    with pytest.raises(InvalidParameter, match="^det = 0 != 1$"):
+        UnimodularMatrix(1, 1, 1, 1)
+    with pytest.raises(InvalidParameter, match="^det = 1000000000001/1000000000000 != 1$"):
+        UnimodularMatrix(1, 0, 0, 1 + Fraction(1, 10**12))
+
+
+def test_cusp_overflow_is_a_budget_error():
+    # i against 10^400 i: cosh d - 1 = (10^400 - 1)^2 / (2 10^400), 400 digits
+    far = UpperHalfPoint(0, 10**400)
+    with pytest.raises(BudgetExceeded, match="a 400-digit number"):
+        quotient_distance(UpperHalfPoint(0, 1), far)
+    # beyond the 4,300 digits that str() of an int allows
+    with pytest.raises(BudgetExceeded, match="a 5000-digit number"):
+        quotient_distance(UpperHalfPoint(0, 1), UpperHalfPoint(0, 10**5000))
+
+
 def hyp_distance(z, w):
     """Hyperbolic distance in the upper half-plane, acosh(1 + v) written
     stably for small v."""
@@ -68,19 +181,19 @@ def test_hyp_distance_examples():
 
 
 def _reduce_tracking(z):
-    """The Gauss reduction of reduce_fundamental, also returning the word of
-    generators applied and the matrix gamma with gamma(z) = the result."""
-    S = UnimodularMatrix(0, -1, 1, 0)
+    """The Gauss reduction of reduce_fundamental in Fractions, also
+    returning the word of generators applied and the matrix gamma with
+    gamma(z) = the result."""
     gamma, words, cur = UnimodularMatrix.identity(), [], z
     while True:
-        t = _round_half(cur.re)
+        t = round_half(cur.re)
         if t != 0:
             shift = UnimodularMatrix(1, -t, 0, 1)
-            cur, gamma = shift.act(cur), shift @ gamma
+            cur, gamma = act_fractions(shift, cur), shift @ gamma
             words.append(f"T^{-t}")
         if cur.norm_sq() >= 1:
             return cur, " ".join(words), gamma
-        cur, gamma = S.act(cur), S @ gamma
+        cur, gamma = act_fractions(_S, cur), _S @ gamma
         words.append("S")
 
 
@@ -103,6 +216,24 @@ def test_reduce_gamma_tracks_word():
         w, _, gamma = _reduce_tracking(z)
         assert reduce_fundamental(z) == w == gamma.act(z)
         assert abs(w.re) <= Fraction(1, 2) and w.norm_sq() >= 1
+
+
+def test_reduce_keeps_the_sign_of_an_exact_half():
+    for re, want in ((Fraction(-5, 2), Fraction(-1, 2)), (Fraction(-3, 2), Fraction(-1, 2)),
+                     (Fraction(-1, 2), Fraction(-1, 2)), (Fraction(1, 2), Fraction(1, 2)),
+                     (Fraction(3, 2), Fraction(1, 2)), (Fraction(5, 2), Fraction(1, 2))):
+        z = UpperHalfPoint(re, 2)
+        assert reduce_fundamental(z).re == _reduce_tracking(z)[0].re == want
+
+
+@settings(deadline=None, max_examples=100)
+@given(z=st.one_of(
+    _points(),
+    st.builds(UpperHalfPoint, st.integers(-12, 12).map(lambda k: Fraction(k, 2)),
+              st.fractions(min_value=Fraction(1, 8), max_value=3, max_denominator=8)),
+))
+def test_reduce_matches_fraction_oracle(z):
+    assert reduce_fundamental(z) == _reduce_tracking(z)[0]
 
 
 def test_reduce_exact_points():
@@ -301,16 +432,17 @@ def test_prime_visit_whole_space():
 
 
 def test_shift_visits_match_pm():
-    for q in (10, 21, 50):
+    # acceptance criterion c10: every reduced class mod q <= 50, m <= 3
+    from math import gcd
+
+    for q in range(2, 51):
         sh = Shift(q)
         for a in range(1, q):
-            from math import gcd
-
             if gcd(a, q) != 1:
                 continue
-            assert tuple(prime_visit_times(sh, 0, a, 0.5, 2, 300 * 2 * q)) == pm(
-                q, a, 2
-            ).primes
+            for m in (1, 2, 3):
+                got = prime_visit_times(sh, 0, a, 0.5, m, 300 * m * q)
+                assert tuple(got) == pm(q, a, m).primes
 
 
 def test_early_visit_shift_example():
