@@ -7,8 +7,11 @@ its own enclosure and expansion.  `RealNumberSpec.parse` reads the CLI syntax.
 tau_eps(alpha) = min{n >= 1 : ||n*alpha|| < eps} is computed two ways: via
 convergents (the minimizer is always a convergent denominator, by the best
 rational approximation property) and by certified brute-force scan.  Both
-paths decide every comparison exactly (quadratic-field arithmetic) or with
-certified rational intervals (decimal / truncated inputs).
+paths decide every comparison exactly or with certified rational intervals
+(decimal / truncated inputs).  A quadratic angle walks its complete
+quotients (P + sqrt(D))/Q in integers and confirms the one return time it
+finds in quadratic-field arithmetic; the other kinds of number test each
+convergent denominator with an exact or certified distance.
 """
 
 import decimal
@@ -20,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import PrecisionExhausted, CapExceeded, UsageError
+from .errors import PrecisionExhausted, CapExceeded, SearchFailed, UsageError
 from .exactreal import QuadExt, RatInterval, _floor_surd, _surd_form, sqrt_interval
 
 Number = Union[int, float, Fraction]
@@ -118,6 +121,29 @@ class RealNumberSpec:
         """max a_n over n >= 1 when it is proven, else None."""
         return None
 
+    def return_time(self, eps: Fraction) -> "ReturnTimeReport":
+        """tau_eps for 0 < eps < 1/2: test q_0 < q_1 < ... with
+        `_dist_below`, expanding to each depth of `_walk_depths` in turn."""
+        for depth in _walk_depths():
+            cf = cf_expand(self, depth)
+            last_q = 0
+            for _, q_n in cf.convergents:
+                if q_n == last_q:  # q_0 = q_1 = 1 when a_1 = 1
+                    continue
+                last_q = q_n
+                found = _dist_below(self, q_n, eps)
+                if found is not None:
+                    achieved, err = found
+                    return ReturnTimeReport(
+                        q_n, achieved, "convergent", achieved_error=err
+                    )
+            if cf.terminated or cf.depth < depth:
+                raise PrecisionExhausted(
+                    f"expansion exhausted at depth {cf.depth} before "
+                    f"||n*alpha|| < {float(eps)} was certified"
+                )
+        raise CapExceeded("convergent depth cap hit", cap=_DEPTH_CAP)
+
 
 @dataclass(frozen=True)
 class Rational(RealNumberSpec):
@@ -168,13 +194,18 @@ class Quadratic(RealNumberSpec):
         s = sqrt_interval(x.d)
         return RatInterval(*sorted((x.a + x.b * s.lo, x.a + x.b * s.hi)))
 
-    def expand(self, depth: int) -> ContinuedFraction:
-        """Surd algorithm on (P + sqrt(D))/Q; the cycle is detected from a
-        repeated (P, Q) state and unrolled to the requested depth."""
+    def _surd_state(self) -> tuple[int, int, int]:
+        """(P, D, Q) with x = (P + sqrt(D))/Q and Q | D - P^2, so that the
+        surd algorithm stays in integers."""
         P, D, Q = _surd_form(self.x)
         if (D - P * P) % Q != 0:
             P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+        return P, D, Q
 
+    def expand(self, depth: int) -> ContinuedFraction:
+        """Surd algorithm on (P + sqrt(D))/Q; the cycle is detected from a
+        repeated (P, Q) state and unrolled to the requested depth."""
+        P, D, Q = self._surd_state()
         quotients: list[int] = []
         seen: dict[tuple[int, int], int] = {}
         period = None
@@ -208,6 +239,39 @@ class Quadratic(RealNumberSpec):
         while (cf := cf_expand(self, depth)).period is None and depth < 1 << 16:
             depth *= 2
         return None if cf.period is None else max(cf.partial_quotients[1:])
+
+    def return_time(self, eps: Fraction) -> "ReturnTimeReport":
+        """tau_eps in integers, from the surd algorithm of `expand`.
+
+        After a_n the state (P, Q) is the complete quotient
+        alpha_{n+1} = (P + sqrt(D))/Q, and
+        |q_n alpha - p_n| = 1/(q_n alpha_{n+1} + q_{n-1}).  With eps = u/v
+        that is below eps iff N + R*sqrt(D) has the sign of Q, where
+        N = u (q_n P + q_{n-1} Q) - v Q and R = u q_n > 0.  For n >= 1 the
+        left side is ||q_n alpha||; for n = 0 it is frac(alpha), which
+        exceeds ||alpha|| only when frac(alpha) > 1/2, and then q_1 = 1
+        tests ||alpha||.  The q_n found is confirmed by one exact distance,
+        which also gives `achieved`.
+        """
+        u, v = eps.numerator, eps.denominator
+        P, D, Q = self._surd_state()
+        q, q_prev = 0, 1  # q_{n-1}, q_{n-2}
+        for _ in range(max(_walk_depths())):
+            a = _floor_surd(P, D, Q)
+            P = a * Q - P
+            Q = (D - P * P) // Q
+            q, q_prev = a * q + q_prev, q
+            N = u * (q * P + q_prev * Q) - v * Q
+            R = u * q
+            # N + R*sqrt(D) > 0 (R > 0, D no square), against the sign of Q
+            if (N >= 0 or R * R * D > N * N) == (Q > 0):
+                found = _dist_below(self, q, eps)
+                if found is None:
+                    raise SearchFailed(
+                        f"||{q}*alpha|| < {float(eps)} fails its exact check"
+                    )
+                return ReturnTimeReport(q, found[0], "convergent")
+        raise CapExceeded("convergent depth cap hit", cap=_DEPTH_CAP)
 
 
 @dataclass(frozen=True)
@@ -321,14 +385,6 @@ class ReturnTimeReport:
     achieved_error: float = 0.0  # half-width of the enclosure (interval inputs)
 
 
-def _dist_lt(alpha: RealNumberSpec, n: int, eps: Fraction) -> bool:
-    """Certified ||n*alpha|| < eps."""
-    x = alpha.exact_value()
-    if x is not None:
-        return (x * n).dist_to_nearest_int() < eps
-    return alpha.dist_enclosure(n, eps).compare_lt(eps)
-
-
 def _dist_value(alpha: RealNumberSpec, n: int) -> tuple[float, float]:
     """||n*alpha|| as (value, half-width of its enclosure); exact (half-width
     0) for rational and quadratic inputs."""
@@ -339,7 +395,31 @@ def _dist_value(alpha: RealNumberSpec, n: int) -> tuple[float, float]:
     return float((iv.lo + iv.hi) / 2), float(iv.width / 2)
 
 
+def _dist_below(
+    alpha: RealNumberSpec, n: int, eps: Fraction
+) -> Optional[tuple[float, float]]:
+    """`_dist_value(alpha, n)` when ||n*alpha|| < eps is certified, else
+    None; an exact distance is computed once for both."""
+    x = alpha.exact_value()
+    if x is not None:
+        dist = (x * n).dist_to_nearest_int()
+        return (float(dist), 0.0) if dist < eps else None
+    if alpha.dist_enclosure(n, eps).compare_lt(eps):
+        return _dist_value(alpha, n)
+    return None
+
+
 _DEPTH_CAP = 5000
+
+
+def _walk_depths():
+    """Expansion depths of the convergent walk: 32, 64, ... up to the first
+    one >= _DEPTH_CAP, past which return times give up."""
+    depth = 32
+    while depth < _DEPTH_CAP:
+        yield depth
+        depth *= 2
+    yield depth
 
 
 def return_time(alpha: RealNumberSpec, epsilon: Number) -> ReturnTimeReport:
@@ -348,34 +428,19 @@ def return_time(alpha: RealNumberSpec, epsilon: Number) -> ReturnTimeReport:
     The best-approximation property of convergents means the first n with
     ||n*alpha|| < eps is a convergent denominator, so it suffices to walk
     q_0 < q_1 < ... and stop at the first one below eps.  Comparisons are
-    exact (or certified); ties at exactly eps count as not inside.
+    exact (or certified); ties at exactly eps count as not inside.  Each
+    kind of number walks in its own `return_time` method: a quadratic
+    angle in integers, the others by the generic walk of `RealNumberSpec`.
     """
     eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, 2):
         raise UsageError(f"epsilon must be in (0, 1/2), got {float(eps)}")
-
-    depth = 32
-    while True:
-        cf = cf_expand(alpha, depth)
-        last_q = 0
-        for _, q_n in cf.convergents:
-            if q_n == last_q:  # q_0 = q_1 = 1 when a_1 = 1
-                continue
-            last_q = q_n
-            if _dist_lt(alpha, q_n, eps):
-                achieved, err = _dist_value(alpha, q_n)
-                return ReturnTimeReport(q_n, achieved, "convergent", achieved_error=err)
-        if cf.terminated or cf.depth < depth:
-            raise PrecisionExhausted(
-                f"expansion exhausted at depth {cf.depth} before ||n*alpha|| < "
-                f"{float(eps)} was certified"
-            )
-        if depth >= _DEPTH_CAP:
-            raise CapExceeded("convergent depth cap hit", cap=_DEPTH_CAP)
-        depth *= 2
+    return alpha.return_time(eps)
 
 
-_BRUTE_CHUNK = 1 << 21
+# 2^14 floats (128 KiB) per temporary array of the prescan: peak memory
+# stays flat in the cap
+_BRUTE_CHUNK = 1 << 14
 
 
 def return_time_bruteforce(
@@ -403,8 +468,9 @@ def return_time_bruteforce(
         margin = hi * a_err + 2.0 ** -50 * hi
         for idx in np.flatnonzero(dist < eps_f + margin):
             cand = lo + int(idx)
-            if _dist_lt(alpha, cand, eps):
-                achieved, err = _dist_value(alpha, cand)
+            found = _dist_below(alpha, cand, eps)
+            if found is not None:
+                achieved, err = found
                 return ReturnTimeReport(cand, achieved, "bruteforce", achieved_error=err)
     raise CapExceeded(
         f"no n <= {cap} with ||n*alpha|| < {float(eps)}", cap=cap,

@@ -54,7 +54,8 @@ class FactorizationFailure(PrimevisitError):
 
 
 class SearchFailed(PrimevisitError):
-    """An early-visit search could not produce a verifiable certificate."""
+    """A search could not produce a result that verifies: an early-visit
+    certificate, or a return time that fails its exact check."""
 
     def __init__(self, message, detail=None):
         super().__init__(message)

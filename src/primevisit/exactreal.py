@@ -12,17 +12,35 @@ from math import isfinite, isqrt, lcm
 from .errors import UsageError, PrecisionExhausted
 
 
+_SPLIT_TRIAL = 10**5  # squarefree_split's trial-division bound
+
+
 def squarefree_split(d: int) -> tuple[int, int]:
-    """d = s^2 * d0 with d0 squarefree; returns (s, d0)."""
+    """d = s^2 * d0; returns (s, d0).
+
+    Trial division by p <= 10^5, stopping once p^2 exceeds what is left,
+    leaves a cofactor c that is 1, a prime, or a product of primes above
+    10^5; c is folded into s when it is a perfect square.  Below 10^15, c
+    has at most two prime factors, so d0 is squarefree.  Above it, c may
+    hide a square factor (p^2 q with p, q > 10^5): d0 is then a
+    non-square but not always squarefree, which is all that exact sign
+    and floor need.
+    """
     if d <= 0:
         raise UsageError(f"need d > 0, got {d}")
-    s, d0, p = 1, d, 2
-    while p * p <= d0:
-        while d0 % (p * p) == 0:
-            d0 //= p * p
+    s, d0, c, p = 1, 1, d, 2
+    while p * p <= c and p <= _SPLIT_TRIAL:
+        while c % (p * p) == 0:
+            c //= p * p
             s *= p
+        if c % p == 0:
+            c //= p
+            d0 *= p
         p += 1
-    return s, d0
+    r = isqrt(c)
+    if r * r == c:
+        return s * r, d0
+    return s, d0 * c
 
 
 def _floor_surd(P: int, D: int, Q: int) -> int:
@@ -45,7 +63,9 @@ def _surd_form(x: "QuadExt") -> tuple[int, int, int]:
 
 
 class QuadExt:
-    """Immutable a + b*sqrt(d), a and b rational, d squarefree (0 when b=0)."""
+    """Immutable a + b*sqrt(d), a and b rational, d a non-square >= 2 (0
+    when b = 0); d is squarefree when the radicand given was below 10^15
+    (see `squarefree_split`)."""
 
     __slots__ = ("a", "b", "d")
 
@@ -68,6 +88,16 @@ class QuadExt:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _of(cls, a: Fraction, b: Fraction, d: int) -> "QuadExt":
+        """Arithmetic results: the radicand d is an operand's, already
+        split, so it is not split again."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "a", a)
+        object.__setattr__(x, "b", b)
+        object.__setattr__(x, "d", d if b else 0)
+        return x
 
     def __setattr__(self, *_):
         raise AttributeError("QuadExt is immutable")
@@ -93,18 +123,18 @@ class QuadExt:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QuadExt(self.a + other, self.b, self.d)
+            return QuadExt._of(self.a + other, self.b, self.d)
         self._check_compatible(other)
-        return QuadExt(self.a + other.a, self.b + other.b, self.d or other.d)
+        return QuadExt._of(self.a + other.a, self.b + other.b, self.d or other.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return QuadExt._of(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QuadExt(self.a - other, self.b, self.d)
+            return QuadExt._of(self.a - other, self.b, self.d)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -112,10 +142,10 @@ class QuadExt:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QuadExt(self.a * other, self.b * other, self.d)
+            return QuadExt._of(self.a * other, self.b * other, self.d)
         self._check_compatible(other)
         d = self.d or other.d
-        return QuadExt(
+        return QuadExt._of(
             self.a * other.a + self.b * other.b * d,
             self.a * other.b + self.b * other.a,
             d,
@@ -136,14 +166,12 @@ class QuadExt:
             return 1
         if a < 0 and b < 0:
             return -1
-        # mixed signs: compare a^2 with b^2 d (never equal, d squarefree >= 2)
+        # mixed signs: compare a^2 with b^2 d (never equal: d is a non-square)
         if a > 0:  # b < 0
             return 1 if a * a > b * b * d else -1
         return 1 if b * b * d > a * a else -1
 
     def _cmp(self, other) -> int:
-        if isinstance(other, (int, Fraction)):
-            other = QuadExt(other)
         return (self - other).sign()
 
     def __lt__(self, other):
@@ -216,8 +244,7 @@ class QuadExt:
     def dist_to_nearest_int(self) -> "QuadExt":
         """||x||, the distance to the nearest integer."""
         f = self.frac()
-        g = QuadExt(1) - f
-        return f if f._cmp(Fraction(1, 2)) <= 0 else g
+        return f if f._cmp(Fraction(1, 2)) <= 0 else 1 - f
 
     def __repr__(self):
         if self.b == 0:

@@ -242,6 +242,63 @@ def test_return_time_achieved_is_not_cancelled(capsys):
     assert abs(doc["achieved"] - want) <= 1e-9 * want
 
 
+# stdout digests of operations in the shapes of the return-times and
+# prime-visits workloads, captured before return times of quadratic angles
+# moved to the integer walk of the complete quotients
+_QUADRATIC_RETURN_TIME_BYTES = [
+    (("return-time", "--alpha", "sqrt:15:11/4:-1/2", "--eps", "667e-6"),
+     "07ed3ece24bb4c836cee0acd83f49a213b87fa40b56cbe58f5a738b414e59ca8"),
+    (("return-time", "--alpha", "sqrt:7:5/2:-3/4", "--eps", "151e-11"),
+     "ceda5dba54123c81c99d433a3678d629ff744611d72b135fd0e9cc64cb3faed9"),
+    (("return-time", "--alpha", "sqrt:19:-2:2/3", "--eps", "112e-10"),
+     "f92b1ff326b0945be86eef0aae8ae493d31a9423eb86d44b16cbb7dc20904379"),
+    (("return-time", "--alpha", "sqrt:14:1:-1/4", "--eps", "789e-20"),
+     "80041a813079b2a272bbebb1c43a6ee3861b7df8221498b8aca9733457c59492"),
+    (("return-time", "--alpha", "sqrt:19:-2:2/3", "--eps", "346e-6",
+      "--method", "bruteforce"),
+     "9c8c3130b5142c56fda76d4cebc8a2b22593f090098103c52a5f7a21af96bf50"),
+    (("prop71", "--alpha", "sqrt:19:-2:2/3", "--eps-grid",
+      "754e-4,159e-6,838e-8,426e-10,283e-10", "--depth", "16"),
+     "828fdaf501afa3898e5811c991be301af166e114734a3f39539dd7bcb89f9270"),
+    (("prop71", "--alpha", "sqrt:7:5/2:-3/4", "--eps-grid",
+      "136e-4,220e-6,326e-7,184e-9,785e-11", "--depth", "11"),
+     "558581ce62999d99aceb2933290f8fd6337dc8cdcf3597d7fc59ace1cd6738b2"),
+    (("early-visit", "--system", "rotation", "--alpha", "sqrt:22:43/3:-3",
+      "--x0", "3/8", "--eps", "1/137"),
+     "2c09b7a6b4f7fdd0899c3d2ea6de5175d6c6483bd331b07860c0af1212191756"),
+    (("early-visit", "--system", "rotation", "--alpha", "sqrt:15:1:-1/4",
+      "--x0", "7/8", "--eps", "1/274"),
+     "6bcebfad976ef1442d61d21ccc3add5a2b1748f01867f119ceac81dc0e2442b8"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _QUADRATIC_RETURN_TIME_BYTES,
+                         ids=[argv[0] for argv, _ in _QUADRATIC_RETURN_TIME_BYTES])
+def test_quadratic_return_time_bytes(capsys, argv, digest):
+    import hashlib
+
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_return_time_of_a_large_prime_radicand(capsys):
+    # a 15-digit prime d: the radicand is split once, at parse time
+    import time
+
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "return-time", "--alpha",
+                           "sqrt:100000000000031:0:1", "--eps", "0.1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out == (
+        '{"achieved": 1.54999999999988e-06, "achieved_error": 0.0, "alpha": '
+        '"0+1*sqrt(100000000000031)", "command": "return-time", "epsilon": '
+        '"1/10", "method": "convergent", "schema_version": 1, "tau": 1, '
+        '"tool_version": "0.1.0"}\n'
+    )
+
+
 def test_parser_built_once(capsys):
     run_cli(capsys, "tuple", "--k", "2")
     code, out, _ = run_cli(capsys, "tuple", "--k", "3")

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import ceil, log
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primevisit.errors import PrecisionExhausted, UsageError
+from primevisit import contfrac
+from primevisit.errors import CapExceeded, PrecisionExhausted, UsageError
 from primevisit.contfrac import (
     Decimal,
     Quadratic,
@@ -88,6 +90,89 @@ def test_return_time_examples():
     assert return_time(GOLDEN, Fraction(1, 20)).tau == 13
     rep = return_time(Rational(Fraction(1, 3)), Fraction(2, 10))
     assert rep.tau == 3 and rep.achieved == 0.0
+
+
+def _fibonacci(k: int) -> int:
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def _walk(spec, eps):
+    """The convergent walk that every kind of number but `Quadratic` uses:
+    the oracle for the integer walk."""
+    return RealNumberSpec.return_time(spec, eps)
+
+
+@st.composite
+def _quadratic_cases(draw):
+    d = draw(st.sampled_from([2, 3, 5, 7, 13, 19, 31, 1000003]))
+    a = draw(st.fractions(-20, 20, max_denominator=40))
+    b = draw(st.fractions(-20, 20, max_denominator=40).filter(bool))
+    eps = Fraction(draw(st.integers(1, 499)), 1000) / 10 ** draw(st.integers(0, 57))
+    return Quadratic(QuadExt(a, b, d)), eps
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=_quadratic_cases())
+def test_integer_walk_matches_convergent_walk(case):
+    """Same report, achieved distance included, for angles inside and
+    outside (0, 1), either sign of b, a period > 256 (d = 1000003) and eps
+    down to 1e-60."""
+    spec, eps = case
+    assert return_time(spec, eps) == _walk(spec, eps)
+
+
+def test_integer_walk_fixed_cases():
+    # alpha_1 = (P + sqrt(D))/Q has Q < 0 for these two; the third is a
+    # workload angle
+    for text in ("sqrt:3:1/4:1/7", "sqrt:2:3/7:2/7", "sqrt:19:-2:2/3"):
+        spec = RealNumberSpec.parse(text)
+        for j in range(1, 20):
+            eps = Fraction(3, 10**j)
+            assert return_time(spec, eps) == _walk(spec, eps)
+    assert return_time(spec, Fraction(346, 10**6)).tau == 1871
+    # frac(golden) = 0.618 > 1/2: q_0 = q_1 = 1 and ||golden|| = 0.382
+    for shift in (0, 3, -2):
+        spec = Quadratic(QuadExt.golden() + shift)
+        for eps, tau in ((Fraction(39, 100), 1), (Fraction(38, 100), 2)):
+            assert return_time(spec, eps).tau == tau
+            assert return_time(spec, eps) == _walk(spec, eps)
+
+
+def test_golden_return_time_is_fibonacci():
+    # ||F_k golden|| = phi^-k, so tau_eps = F_k for the least k with
+    # phi^-k < eps
+    import time
+
+    phi = (1 + 5**0.5) / 2
+    start = time.perf_counter()
+    rep = return_time(GOLDEN, Fraction(1, 10**300))
+    assert time.perf_counter() - start < 0.05
+    k = ceil(300 * log(10) / log(phi))
+    assert rep.tau == _fibonacci(k)
+    assert rep.achieved == pytest.approx(phi**-k, rel=1e-12)
+
+
+def test_return_time_cap_depth():
+    # 1/F_(k+1) lies between phi^-k and phi^-(k-1): tau = F_k = q_(k-1).
+    # The walk scans q_0 .. q_8191, doubling its depth from 32 past 5000
+    assert return_time(GOLDEN, Fraction(1, _fibonacci(8193))).tau == _fibonacci(8192)
+    with pytest.raises(CapExceeded) as exc:
+        return_time(GOLDEN, Fraction(1, _fibonacci(8194)))
+    assert exc.value.cap == 5000
+
+
+def test_return_time_cap_depth_matches_walk(monkeypatch):
+    # with a cap of 100 both walks stop after q_127 = F_128
+    monkeypatch.setattr(contfrac, "_DEPTH_CAP", 100)
+    eps = Fraction(1, _fibonacci(129))
+    assert return_time(GOLDEN, eps) == _walk(GOLDEN, eps)
+    assert return_time(GOLDEN, eps).tau == _fibonacci(128)
+    for walk in (return_time, _walk):
+        with pytest.raises(CapExceeded):
+            walk(GOLDEN, Fraction(1, _fibonacci(130)))
 
 
 def test_return_time_epsilon_validation():

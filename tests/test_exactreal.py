@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from primevisit import exactreal
 from primevisit.errors import PrecisionExhausted
 from primevisit.exactreal import QuadExt, RatInterval, sqrt_interval, squarefree_split
 
@@ -13,6 +14,22 @@ def test_squarefree_split():
     assert squarefree_split(12) == (2, 3)
     assert squarefree_split(5) == (1, 5)
     assert squarefree_split(49) == (7, 1)
+    # a prime beyond the trial-division bound, squared: folded by isqrt
+    assert squarefree_split(100003**2 * 7) == (100003, 7)
+    assert squarefree_split(4 * 100003 * 100019) == (2, 100003 * 100019)
+    assert squarefree_split(100000000000031) == (1, 100000000000031)
+    # above 10^15 a hidden square may stay in d0, which is still no square
+    d = 100003**2 * 100019
+    s, d0 = squarefree_split(d)
+    assert s * s * d0 == d and isqrt(d0) ** 2 != d0
+
+
+def test_arithmetic_keeps_the_split_radicand(monkeypatch):
+    x = QuadExt(Fraction(1, 3), 2, 100000000000031)
+    monkeypatch.setattr(exactreal, "squarefree_split", None)
+    y = (x * 3 + 1) * x - x
+    assert y.d == 100000000000031 and (y - y).d == 0
+    assert y.floor() == 12 * 100000000000031 + 40000000  # 12d + 1/3 + 4 sqrt(d)
 
 
 def test_perfect_square_folds_to_rational():
