@@ -78,7 +78,10 @@ def _fmt_value(v) -> str:
 
 
 def _emit(args, fields, table: Optional[list[dict]] = None):
-    """Write one record (or a row table) as JSON or CSV, byte-stable."""
+    """Write one record (or a row table) as JSON or CSV, byte-stable.
+
+    A report dataclass comes in as vars(report), its fields by name:
+    dataclasses.asdict would deep-copy every value first."""
     record = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -164,10 +167,7 @@ def _cmd_census(args):
 
 def _cmd_tuple(args):
     t = narrowest_tuple(args.k)
-    _emit(args, {
-        "k": t.k, "offsets": list(t.offsets), "diameter": t.diameter,
-        "optimal": t.optimal,
-    })
+    _emit(args, {**vars(t), "diameter": t.diameter})
 
 
 def _cmd_budget_table(args):
@@ -175,21 +175,15 @@ def _cmd_budget_table(args):
     if h_budget is None and args.C is not None:
         h_budget = cluster_budget(args.m, args.C)
     rows = theorem11_report(args.q_list, m=args.m, h_budget=h_budget, cap=args.cap)
-    _emit(args, {"m": args.m}, table=[
-        {"q": r.q, "a_star": r.a_star, "p_m": r.p_m, "ratio": r.ratio,
-         "h_budget": r.h_budget, "passed": r.passed}
-        for r in rows
-    ])
+    _emit(args, {"m": args.m}, table=[vars(r) for r in rows])
 
 
 def _cmd_weights(args):
     F = _build_cutoff(args)
     report = detection_ratio(F, theta=args.theta, C2=args.C2, m=args.m)
     fields = {
-        "family": F.family, "k": F.k, "I": report.I, "J_sum": report.J_sum,
+        **vars(report), "family": F.family, "k": F.k,
         "J": [F.singular_J(i) for i in range(F.k)],
-        "ratio": report.ratio, "bound": report.bound,
-        "exceeds_bound": report.exceeds_bound, "detects_m": report.detects_m,
     }
     if args.m is not None:
         sel = select_k_rho(args.m, args.theta, args.C2)
@@ -209,25 +203,12 @@ def _cmd_ssum(args):
     rep = s_sum_bruteforce(
         args.q, args.m, offsets, params, F, work_cap=args.work_cap
     )
-    _emit(args, {
-        "q": rep.q, "m": rep.m, "k": rep.k, "offsets": list(rep.offsets),
-        "w": params.w, "Wq": params.Wq, "b0": params.b0,
-        "nonprime_sum": rep.nonprime_sum,
-        "prime_sums": list(rep.prime_sums),
-        "smallfactor_sums": list(rep.smallfactor_sums),
-        "S": rep.S, "max_weight": rep.max_weight,
-        "census_lower_bound": rep.census_lower_bound,
-        "residues_enumerated": rep.residues_enumerated,
-        "smallprime_cutoff": rep.smallprime_cutoff,
-    })
+    _emit(args, {**vars(rep), "w": params.w, "Wq": params.Wq, "b0": params.b0})
 
 
 def _cmd_discrepancy(args):
     rep = discrepancy_reduced(args.q, args.R, work_cap=args.work_cap)
-    _emit(args, {
-        "q": rep.q, "R": rep.R, "value": rep.value,
-        "exact": rep.exact, "moduli_used": rep.moduli_used,
-    })
+    _emit(args, vars(rep))
 
 
 def _cmd_return_time(args):
@@ -238,11 +219,7 @@ def _cmd_return_time(args):
         rep = return_time_bruteforce(alpha, eps, cap)
     else:
         rep = return_time(alpha, eps)
-    _emit(args, {
-        "alpha": alpha.describe(), "epsilon": eps, "tau": rep.tau,
-        "achieved": rep.achieved, "achieved_error": rep.achieved_error,
-        "method": rep.method,
-    })
+    _emit(args, {**vars(rep), "alpha": alpha.describe(), "epsilon": eps})
 
 
 def _cmd_prop71(args):
@@ -254,12 +231,7 @@ def _cmd_prop71(args):
     if est is not None and est.applicable:
         fields["type_exponent_max"] = est.exponent_max
         fields["type_liminf_proxy"] = est.liminf_proxy
-    _emit(args, fields, table=[
-        {"epsilon": r.epsilon, "tau": r.tau, "lower": r.lower,
-         "upper": r.upper, "lower_ok": r.lower_ok, "upper_ok": r.upper_ok,
-         "lower_kind": r.lower_kind}
-        for r in rows
-    ])
+    _emit(args, fields, table=[vars(r) for r in rows])
 
 
 def _cmd_visits(args):
@@ -291,12 +263,7 @@ def _cmd_kac(args):
         system, x0, float(args.eps), n_samples=args.samples,
         cap=args.cap, seed=args.seed,
     )
-    _emit(args, {
-        "system": system.description, "epsilon": args.eps,
-        "mean_return": rep.mean_return, "target": rep.target,
-        "relative_error": rep.relative_error, "n_samples": rep.n_samples,
-        "censored": rep.censored, "ergodic": rep.ergodic, "note": rep.note,
-    })
+    _emit(args, {**vars(rep), "system": system.description, "epsilon": args.eps})
 
 
 def _cmd_verify(args):
@@ -309,12 +276,7 @@ def _cmd_verify(args):
     n_bad = sum(1 for r in results if not (r.passed and r.in_budget))
     print(f"{len(results) - n_bad}/{len(results)} criteria passed")
     if args.output:
-        table = [
-            {"cid": r.cid, "title": r.title, "passed": r.passed,
-             "elapsed": r.elapsed, "budget": r.budget, "details": r.details}
-            for r in results
-        ]
-        _emit(args, {"passed": n_bad == 0}, table=table)
+        _emit(args, {"passed": n_bad == 0}, table=[vars(r) for r in results])
     return EXIT_OK if n_bad == 0 else EXIT_CHECK_FAILED
 
 

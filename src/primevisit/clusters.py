@@ -124,9 +124,7 @@ def pm(q: int, a: int, m: int, cap: Optional[int] = None) -> PrimeClusterResult:
     if len(found) == m:
         return PrimeClusterResult(prog, found)
     raise CapExceeded(
-        f"only {len(found)} primes = {a} (mod {q}) up to {cap}, wanted {m}",
-        cap=cap,
-        context={"q": q, "a": a, "m": m, "found": len(found)},
+        f"only {len(found)} primes = {a} (mod {q}) up to {cap}, wanted {m}"
     )
 
 
@@ -175,11 +173,7 @@ def min_pm(
             assert len(primes) == m, f"internal: class {a_star} holds {primes}"
             return a_star, PrimeClusterResult(Progression(q, a_star), tuple(primes))
         counts[classes] += sizes
-    raise CapExceeded(
-        f"no residue class mod {q} collected {m} primes up to {cap}",
-        cap=cap,
-        context={"q": q, "m": m},
-    )
+    raise CapExceeded(f"no residue class mod {q} collected {m} primes up to {cap}")
 
 
 def cluster_census(q: int, m: int, X: int) -> int:

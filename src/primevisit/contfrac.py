@@ -142,7 +142,7 @@ class RealNumberSpec:
                     f"expansion exhausted at depth {cf.depth} before "
                     f"||n*alpha|| < {float(eps)} was certified"
                 )
-        raise CapExceeded("convergent depth cap hit", cap=_DEPTH_CAP)
+        raise CapExceeded("convergent depth cap hit")
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,7 @@ class Quadratic(RealNumberSpec):
                         f"||{q}*alpha|| < {float(eps)} fails its exact check"
                     )
                 return ReturnTimeReport(q, found[0], "convergent")
-        raise CapExceeded("convergent depth cap hit", cap=_DEPTH_CAP)
+        raise CapExceeded("convergent depth cap hit")
 
 
 @dataclass(frozen=True)
@@ -472,10 +472,7 @@ def return_time_bruteforce(
             if found is not None:
                 achieved, err = found
                 return ReturnTimeReport(cand, achieved, "bruteforce", achieved_error=err)
-    raise CapExceeded(
-        f"no n <= {cap} with ||n*alpha|| < {float(eps)}", cap=cap,
-        context={"alpha": alpha.describe()},
-    )
+    raise CapExceeded(f"no n <= {cap} with ||n*alpha|| < {float(eps)}")
 
 
 # ---------------------------------------------------------------------------

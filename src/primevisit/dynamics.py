@@ -317,9 +317,9 @@ class System:
 
     Each subclass has `description` and these methods: iterate(x, n) = T^n x
     (closed forms or matrix powers, not repeated composition); dist(x, y), a
-    float; dist_lt(x, y, eps), the certified comparison d(x, y) < eps that
-    searches and certificate checks use; ball(x, eps), the same test with
-    its centre fixed; ball_measure(x, eps) in [0, 1]; point_repr(x) for
+    float; ball(x, eps), the test y -> d(y, x) < eps of the open ball
+    B(x; eps), the one certified comparison that searches and certificate
+    checks use; ball_measure(x, eps) in [0, 1]; point_repr(x) for
     certificates; and parse_point(text), which reads a point from CLI text
     and answers malformed text with a UsageError.  The scans below are
     generic; a subclass overrides them where it has an exact fast path.
@@ -344,9 +344,7 @@ class System:
                 raise BudgetExceeded(f"at step n = {n}, {exc}") from exc
         raise CapExceeded(
             f"no return within {cap} steps (recurrence bound mu(B(x0; eps/2))^-1 "
-            f"= {1.0 / mu:.3g})",
-            cap=cap,
-            context={"system": self.description, "epsilon": float(eps)},
+            f"= {1.0 / mu:.3g})"
         )
 
     def prime_visits(self, x0, x, eps: Fraction, m: int, cap: int) -> list[int]:
@@ -360,12 +358,7 @@ class System:
                     found.append(p)
                     if len(found) == m:
                         return found
-        raise CapExceeded(f"only {len(found)} prime visits up to {cap}", cap=cap)
-
-    def ball(self, x, eps: Fraction):
-        """The test y -> d(y, x) < eps of the open ball B(x; eps), for scans
-        that test many points against one centre."""
-        return lambda y: self.dist_lt(y, x, eps)
+        raise CapExceeded(f"only {len(found)} prime visits up to {cap}")
 
     def kac(self, x0, eps: float, target: float, n_samples: int, cap: int,
             seed: int) -> "KacReport":
@@ -393,8 +386,8 @@ class Shift(System):
     def dist(self, x, y) -> float:
         return 0.0 if (x - y) % self.q == 0 else 1.0
 
-    def dist_lt(self, x, y, eps) -> bool:
-        return self.dist(x, y) < eps
+    def ball(self, x, eps):
+        return lambda y: self.dist(y, x) < eps
 
     def ball_measure(self, x, eps) -> float:
         return 1.0 / self.q if eps <= 1 else 1.0
@@ -423,7 +416,7 @@ class Shift(System):
         else:
             found = primes_in_ap(self.q, r, cap)[:m]
         if len(found) < m:
-            raise CapExceeded(f"only {len(found)} prime visits up to {cap}", cap=cap)
+            raise CapExceeded(f"only {len(found)} prime visits up to {cap}")
         return found
 
     def kac(self, x0, eps, target, n_samples, cap, seed) -> "KacReport":
@@ -467,14 +460,14 @@ class Rotation(System):
     def iterate(self, x, n) -> QuadExt:
         return (_circle_point(x) + self.a * n).frac()
 
-    def _dist_exact(self, x, y) -> QuadExt:
-        return (_circle_point(x) - _circle_point(y)).dist_to_nearest_int()
-
     def dist(self, x, y) -> float:
-        return float(self._dist_exact(x, y))
+        return float((_circle_point(x) - _circle_point(y)).dist_to_nearest_int())
 
-    def dist_lt(self, x, y, eps) -> bool:
-        return self._dist_exact(x, y) < Fraction(eps)
+    def ball(self, x, eps):
+        # y is an orbit point (a QuadExt) or a rational; ||y - x|| does not
+        # need y reduced mod 1
+        centre, eps = _circle_point(x), Fraction(eps)
+        return lambda y: (centre - y).dist_to_nearest_int() < eps
 
     def ball_measure(self, x, eps) -> float:
         return min(2.0 * float(eps), 1.0)
@@ -495,8 +488,8 @@ class Rotation(System):
         can pass."""
         af = float(self.alpha)
         x0q = _circle_point(x0)
-        xq = _circle_point(x)
-        x0f, xf, eps_f = float(x0q), float(xq), float(eps)
+        x0f, xf, eps_f = float(x0q), float(_circle_point(x)), float(eps)
+        inside = self.ball(x, eps)
 
         found = []
         for seg in iter_prime_segments(2, cap + 1):
@@ -506,11 +499,11 @@ class Rotation(System):
             d = np.minimum(d, 1.0 - d)
             margin = float(seg.hi) * 2.0 ** -50 + 1e-12
             for p in map(int, ps[d < eps_f + margin]):
-                if (x0q + self.a * p - xq).dist_to_nearest_int() < eps:
+                if inside(x0q + self.a * p):
                     found.append(p)
                     if len(found) == m:
                         return found
-        raise CapExceeded(f"only {len(found)} prime visits up to {cap}", cap=cap)
+        raise CapExceeded(f"only {len(found)} prime visits up to {cap}")
 
     def kac(self, x0, eps, target, n_samples, cap, seed) -> "KacReport":
         """One sample uniform in each of n_samples equal sub-arcs of the
@@ -587,9 +580,6 @@ class Mobius(System):
 
     def dist(self, x, y) -> float:
         return quotient_distance(reduce_fundamental(x), reduce_fundamental(y)).value
-
-    def dist_lt(self, x, y, eps) -> bool:
-        return self.ball(y, eps)(x)
 
     def ball(self, x, eps):
         # the centre is reduced once for every point tested against it
@@ -709,8 +699,7 @@ def early_visit_search(
         except SearchFailed as exc:
             last_fail = exc
     raise SearchFailed(
-        f"search failed at h = {h} and after doubling to {2 * h}: {last_fail}",
-        detail=getattr(last_fail, "detail", {}),
+        f"search failed at h = {h} and after doubling to {2 * h}: {last_fail}"
     )
 
 
@@ -740,29 +729,27 @@ def _early_visit_once(
             # no residue class completes below the budget: a genuine search
             # failure (retryable at 2h), not a caller-side cap problem
             raise SearchFailed(
-                f"min_pm found no {m}-cluster below {pm_cap} for q={q}",
-                detail={"q": q, "cap": pm_cap},
+                f"min_pm found no {m}-cluster below {pm_cap} for q={q}"
             ) from exc
         primes = list(res.primes)
         p_m_val = res.p_m
 
     if not degenerate and p_m_val > h * q:
         raise SearchFailed(
-            f"p_m(q={q}, a*={a_star}) = {p_m_val} exceeds budget h*q = {h * q:g}",
-            detail={"q": q, "a_star": a_star, "p_m": p_m_val, "h": h},
+            f"p_m(q={q}, a*={a_star}) = {p_m_val} exceeds budget h*q = {h * q:g}"
         )
 
     x_star = x0 if degenerate else system.iterate(x0, a_star)
+    inside = system.ball(x_star, eps)
     dists = []
     for p in primes:
         xp = system.iterate(x0, p)
-        if not system.dist_lt(xp, x_star, eps):
+        if not inside(xp):
             raise SearchFailed(
                 f"degenerate ball but d(T^{p} x0, x0) >= eps (boundary tie)"
                 if degenerate else
                 f"verification failed: d(T^{p} x0, x*) = "
-                f"{system.dist(xp, x_star):.6g} >= eps = {float(eps):.6g}",
-                detail={"q": q, "a_star": a_star, "prime": p},
+                f"{system.dist(xp, x_star):.6g} >= eps = {float(eps):.6g}"
             )
         dists.append(system.dist(xp, x_star))
 
@@ -793,14 +780,14 @@ def verify_certificate(
     problems = []
     if not cert.degenerate:
         thr = cert.return_threshold
-        if not system.dist_lt(system.iterate(x0, cert.q_return), x0, thr):
+        if not system.ball(x0, thr)(system.iterate(x0, cert.q_return)):
             problems.append("return time does not satisfy d(T^q x0, x0) < eps/2h")
         else:
             # T^q returns, so the first return is some n <= q
             n = system.first_return(x0, thr, cap=cert.q_return)
             if n != cert.q_return:
                 problems.append(f"return time not minimal: n = {n} also returns")
-    x_star = system.iterate(x0, cert.a_star)
+    inside = system.ball(system.iterate(x0, cert.a_star), eps)
     for p in cert.primes:
         if not is_prime(p):
             problems.append(f"{p} is not prime")
@@ -808,7 +795,7 @@ def verify_certificate(
             problems.append(f"{p} != a* mod q")
         if not cert.degenerate and p > cert.h * cert.q_return:
             problems.append(f"{p} exceeds q*h")
-        if not system.dist_lt(system.iterate(x0, p), x_star, eps):
+        if not inside(system.iterate(x0, p)):
             problems.append(f"d(T^{p} x0, x*) >= eps")
     return (not problems), {"problems": problems}
 

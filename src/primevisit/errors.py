@@ -30,15 +30,7 @@ class InvalidParameter(UsageError):
 
 
 class CapExceeded(PrimevisitError):
-    """A bounded search ran out of budget before finding its target.
-
-    Carries enough context for the caller to retry with a larger cap.
-    """
-
-    def __init__(self, message, cap=None, context=None):
-        super().__init__(message)
-        self.cap = cap
-        self.context = context or {}
+    """A bounded search ran out of budget before finding its target."""
 
 
 class BudgetExceeded(PrimevisitError):
@@ -56,10 +48,6 @@ class FactorizationFailure(PrimevisitError):
 class SearchFailed(PrimevisitError):
     """A search could not produce a result that verifies: an early-visit
     certificate, or a return time that fails its exact check."""
-
-    def __init__(self, message, detail=None):
-        super().__init__(message)
-        self.detail = detail or {}
 
 
 class NonTermination(PrimevisitError):

@@ -620,10 +620,14 @@ def s_sum_bruteforce(
             f"{n_residues} residues x {k} offsets exceeds work cap {work_cap}"
         )
 
-    # prime indicator for every candidate a + q h_i
-    flags = np.zeros(top + 1, dtype=bool)
-    for seg in iter_prime_segments(2, top + 1):
-        flags[seg.lo : seg.hi] = seg.bits
+    # prime flags of a + q h_i for a in [1, q]: one window per offset
+    flags = []
+    for h in offsets:
+        bits = np.zeros(q, dtype=bool)
+        base = q * h + 1
+        for seg in iter_prime_segments(base, base + q):
+            bits[seg.lo - base : seg.hi - base] = seg.bits
+        flags.append(bits)
 
     logq = log(q)
     p_cut = floor(exp(float(params.rho) * logq))
@@ -646,10 +650,9 @@ def s_sum_bruteforce(
         a = a[np.gcd(a, q) == 1]
         count += a.size
         prod = np.ones(a.size)
-        ns, counts = [], []
+        counts = []
         for h, f_i, cut in zip(offsets, F.fs, cuts):
-            n = a + q * h
-            key, small = _factor_keys(n, trial, cut, p_cut, reach > root)
+            key, small = _factor_keys(a + q * h, trial, cut, p_cut, reach > root)
             uniq, inv = np.unique(key, return_inverse=True)
             cache = lam_cache.setdefault(f_i, {})
             lam = []
@@ -658,7 +661,6 @@ def s_sum_bruteforce(
                     cache[kk] = _lambda_from_primes(_key_primes(kk, trial), f_i, logq)
                 lam.append(cache[kk])
             prod = prod * np.array(lam, dtype=np.float64)[inv]
-            ns.append(n)
             counts.append(small)
         w = prod * prod
         nz = w != 0.0
@@ -666,8 +668,9 @@ def s_sum_bruteforce(
         if w.size:
             max_w = max(max_w, float(w.max()))
         w_chunks.append(w)
+        idx = a[nz] - 1
         for i in range(k):
-            prime_chunks[i].append(w[flags[ns[i][nz]]])
+            prime_chunks[i].append(w[flags[i][idx]])
             if p_cut >= 2:
                 c = counts[i][nz]
                 hit = c != 0

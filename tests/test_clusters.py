@@ -31,12 +31,9 @@ def test_pm_cap_exceeded():
     with pytest.raises(CapExceeded) as info:
         pm(10**4 + 1, 1, 50, cap=10**4 + 2)
     assert str(info.value) == "only 0 primes = 1 (mod 10001) up to 10002, wanted 50"
-    assert info.value.cap == 10**4 + 2
-    assert info.value.context == {"q": 10**4 + 1, "a": 1, "m": 50, "found": 0}
     with pytest.raises(CapExceeded) as info:
         pm(4, 1, 3, cap=16)
     assert str(info.value) == "only 2 primes = 1 (mod 4) up to 16, wanted 3"
-    assert info.value.context == {"q": 4, "a": 1, "m": 3, "found": 2}
 
 
 def test_pm_monotone_in_m():
@@ -197,4 +194,6 @@ def test_min_pm_cap_boundary(q, m):
     assert min_pm(q, m, cap=p_m)[1].p_m == p_m
     with pytest.raises(CapExceeded) as info:
         min_pm(q, m, cap=p_m - 1)
-    assert info.value.cap == p_m - 1 and info.value.context == {"q": q, "m": m}
+    assert str(info.value) == (
+        f"no residue class mod {q} collected {m} primes up to {p_m - 1}"
+    )

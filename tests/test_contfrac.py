@@ -161,7 +161,7 @@ def test_return_time_cap_depth():
     assert return_time(GOLDEN, Fraction(1, _fibonacci(8193))).tau == _fibonacci(8192)
     with pytest.raises(CapExceeded) as exc:
         return_time(GOLDEN, Fraction(1, _fibonacci(8194)))
-    assert exc.value.cap == 5000
+    assert str(exc.value) == "convergent depth cap hit"
 
 
 def test_return_time_cap_depth_matches_walk(monkeypatch):

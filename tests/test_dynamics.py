@@ -368,7 +368,7 @@ def test_mobius_threshold_decided_exactly():
         c = Fraction(mpmath.nstr(mpmath.exp(mpmath.mpf(1) / 5), 70))
         want = mpmath.log(mpmath.mpf(c.numerator) / c.denominator) < mpmath.mpf(1) / 5
     z, w = UpperHalfPoint(Fraction(0), Fraction(2)), UpperHalfPoint(Fraction(0), 2 * c)
-    assert mob.dist_lt(z, w, Fraction(1, 5)) == want
+    assert mob.ball(w, Fraction(1, 5))(z) == want
 
 
 @settings(deadline=None, max_examples=200)
