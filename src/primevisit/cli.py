@@ -1,9 +1,9 @@
-"""Command-line front end: every capability behind one subcommand, with
-bit-stable JSON/CSV report emission.
+"""Command-line front end: every capability behind one subcommand, whose
+report is bit-stable JSON.
 
 Exit codes: 0 success, 1 check failed (verify), 2 usage error, 3 budget or
-cap exceeded.  Every subcommand takes --output and --format; `kac` also
-takes --seed, and `ssum` and `discrepancy` take --work-cap.
+cap exceeded.  Every subcommand takes --output; `kac` also takes --seed,
+and `ssum` and `discrepancy` take --work-cap.
 """
 
 import argparse
@@ -68,17 +68,25 @@ EXIT_BUDGET = 3
 
 
 def _fmt_value(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
+    """JSON text of a value json.dumps cannot write itself."""
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, (list, tuple)):
-        return ";".join(_fmt_value(x) for x in v)
     return str(v)
 
 
+def _finite_float(text: str) -> float:
+    """A finite float; anything else, nan and inf too, is a UsageError."""
+    try:
+        x = float(text)
+        if abs(x) <= sys.float_info.max:  # false for nan and inf
+            return x
+    except ValueError:
+        pass
+    raise UsageError(f"not a finite number: {text!r}")
+
+
 def _emit(args, fields, table: Optional[list[dict]] = None):
-    """Write one record (or a row table) as JSON or CSV, byte-stable.
+    """Write one record, with its row table if any, as byte-stable JSON.
 
     A report dataclass comes in as vars(report), its fields by name:
     dataclasses.asdict would deep-copy every value first."""
@@ -90,15 +98,7 @@ def _emit(args, fields, table: Optional[list[dict]] = None):
     record.update(fields)
     if table is not None:
         record["rows"] = table
-    if args.format == "json":
-        text = json.dumps(record, sort_keys=True, default=_fmt_value) + "\n"
-    else:
-        rows = table if table is not None else [record]
-        header = sorted(rows[0].keys())
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt_value(row.get(k, "")) for k in header))
-        text = "\n".join(lines) + "\n"
+    text = json.dumps(record, sort_keys=True, default=_fmt_value) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -296,7 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("pm", help="m-th least prime in a progression")
     p.add_argument("--q", type=int, required=True)
@@ -325,8 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-list", type=_int_list, required=True,
                    help="comma-separated moduli")
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--h-budget", type=float)
-    p.add_argument("--C", type=float,
+    p.add_argument("--h-budget", type=_finite_float)
+    p.add_argument("--C", type=_finite_float,
                    help="derive the budget as C * m * exp(4m)")
     p.add_argument("--cap", type=int)
     common(p)
@@ -334,11 +333,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", help="singular integrals and detection ratio")
     p.add_argument("--family", choices=("tensor", "psi"), default="tensor")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--support", type=float, default=0.125,
+    p.add_argument("--support", type=_finite_float, default=0.125,
                    help="ramp support per coordinate (tensor family)")
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--eps-k", type=float, default=None)
-    p.add_argument("--C2", type=float, default=0.0)
+    p.add_argument("--theta", type=_finite_float, default=0.5)
+    p.add_argument("--eps-k", type=_finite_float, default=None)
+    p.add_argument("--C2", type=_finite_float, default=0.0)
     p.add_argument("--m", type=int, default=None)
     common(p)
 
@@ -347,9 +346,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--tuple", type=_int_list, required=True,
                    help="offsets, e.g. 0,2,6")
-    p.add_argument("--support", type=float, default=0.125)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--eps-k", type=float, default=0.0)
+    p.add_argument("--support", type=_finite_float, default=0.125)
+    p.add_argument("--theta", type=_finite_float, default=0.5)
+    p.add_argument("--eps-k", type=_finite_float, default=0.0)
     p.add_argument("--w-override", type=int, default=None)
     p.add_argument("--work-cap", type=int, default=10**9)
     common(p)
@@ -372,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prop71", help="two-sided return-time bound table")
     p.add_argument("--alpha", required=True)
     p.add_argument("--eps-grid", default="0.1,0.01,0.001,0.0001,0.00001,0.000001")
-    p.add_argument("--delta", type=float, default=0.01)
+    p.add_argument("--delta", type=_finite_float, default=0.01)
     p.add_argument("--depth", type=int, default=40,
                    help="expansion depth for the type estimate (0 to skip)")
     common(p)
@@ -398,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", required=True)
     p.add_argument("--eps", type=parse_fraction, required=True)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--h", type=float, default=None)
+    p.add_argument("--h", type=_finite_float, default=None)
     p.add_argument("--cap", type=int, default=None)
     common(p)
 

@@ -123,11 +123,13 @@ class RealNumberSpec:
 
     def return_time(self, eps: Fraction) -> "ReturnTimeReport":
         """tau_eps for 0 < eps < 1/2: test q_0 < q_1 < ... with
-        `_dist_below`, expanding to each depth of `_walk_depths` in turn."""
+        `_dist_below`, expanding to each depth of `_walk_depths` in turn.
+        A deeper expansion extends the shallower one, so each depth tests
+        only the convergents past the last depth's."""
+        tested, last_q = 0, 0
         for depth in _walk_depths():
             cf = cf_expand(self, depth)
-            last_q = 0
-            for _, q_n in cf.convergents:
+            for _, q_n in cf.convergents[tested:]:
                 if q_n == last_q:  # q_0 = q_1 = 1 when a_1 = 1
                     continue
                 last_q = q_n
@@ -142,6 +144,7 @@ class RealNumberSpec:
                     f"expansion exhausted at depth {cf.depth} before "
                     f"||n*alpha|| < {float(eps)} was certified"
                 )
+            tested = cf.depth
         raise CapExceeded("convergent depth cap hit")
 
 

@@ -91,9 +91,6 @@ class UpperHalfPoint:
         if not self.im > 0:
             raise InvalidParameter(f"im must be > 0, got {self.im}")
 
-    def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
 
 # The kernel below works on a point z = (x + iy)/d as the integer triple
 # (x, y, d); _triple gives the one triple with gcd(x, y, d) = 1 and d > 0.
@@ -691,6 +688,8 @@ def early_visit_search(
             raise UsageError(
                 "h budget required for m != 2 (shape C * m * exp(4m))"
             )
+    if not h > 0:
+        raise UsageError(f"need h > 0, got {h}")
 
     last_fail = None
     for h_try in (h, 2 * h):
@@ -826,6 +825,10 @@ def kac_empirical(
 ) -> KacReport:
     """Sample points of B(x0; eps), measure each one's first return to the
     ball, compare the mean to mu(B)^-1 (the ergodic expectation)."""
+    if n_samples < 1 or cap < 1:
+        raise UsageError(
+            f"need n_samples >= 1 and cap >= 1, got {n_samples} and {cap}"
+        )
     eps_f = float(epsilon)
     mu = system.ball_measure(x0, eps_f)
     if mu <= 0:

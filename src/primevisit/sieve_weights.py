@@ -185,14 +185,6 @@ class TensorCutoff(CutoffF):
     def k(self) -> int:
         return len(self.fs)
 
-    def value(self, t: Sequence[float]) -> float:
-        """F at a point of [0, inf)^k."""
-        if len(t) != self.k:
-            raise UsageError(f"point has {len(t)} coordinates, expected {self.k}")
-        if any(v < 0 for v in t):
-            raise UsageError("coordinates must be >= 0")
-        return prod(f(float(v)) for f, v in zip(self.fs, t))
-
     def check_support(self, theta: float, eps_k: float):
         """The supports must fit inside the simplex: sum s_i <= (theta-eps)/2."""
         total = fsum(f.support for f in self.fs)

@@ -57,19 +57,6 @@ def test_byte_identical_output(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_csv_format(tmp_path, capsys):
-    out = tmp_path / "rows.csv"
-    code = main(["budget-table", "--q-list", "101,210", "--m", "2",
-                 "--format", "csv", "--output", str(out)])
-    assert code == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].split(",") == sorted(
-        ["q", "a_star", "p_m", "ratio", "h_budget", "passed"]
-    )
-    assert len(lines) == 3
-    assert "." in lines[1]  # decimal point, no locale
-
-
 def test_tuple_and_census(capsys):
     code, out, _ = run_cli(capsys, "tuple", "--k", "3")
     assert json.loads(out)["offsets"] == [0, 2, 6]
@@ -207,6 +194,32 @@ def test_malformed_number_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "error" in err
+
+
+_ROTATION = ("--system", "rotation", "--alpha", "golden", "--x0", "0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["early-visit", *_ROTATION, "--eps", "1/10", "--h", "0"],
+    ["early-visit", *_ROTATION, "--eps", "1/10", "--h", "nan"],
+    ["early-visit", *_ROTATION, "--eps", "1/10", "--h", "inf"],
+    ["early-visit", *_ROTATION, "--eps", "1/10", "--h", "-1"],
+    ["kac", *_ROTATION, "--eps", "1/20", "--samples", "-1"],
+    ["kac", *_ROTATION, "--eps", "1/20", "--samples", "0"],
+    ["kac", *_ROTATION, "--eps", "1/20", "--cap", "0"],
+    ["ssum", "--q", "1009", "--m", "2", "--tuple", "0,2,6", "--support", "nan"],
+    ["weights", "--k", "2", "--support", "nan"],
+    ["prop71", "--alpha", "golden", "--delta", "nan"],
+    ["budget-table", "--q-list", "101,210", "--h-budget", "nan"],
+    ["budget-table", "--q-list", "101,210", "--C", "inf"],
+], ids=["h-zero", "h-nan", "h-inf", "h-negative", "samples-negative", "samples-zero",
+        "cap-zero", "support-ssum", "support-weights", "delta", "h-budget", "C"])
+def test_out_of_range_number_is_a_usage_error(capsys, argv):
+    # each of these raised a bare exception or reported NaN or Infinity
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "epsilon" not in err
 
 
 def test_console_script_installed():
@@ -395,84 +408,73 @@ def test_every_flag_is_read(capsys, monkeypatch, tmp_path):
     # a flag goes only where it is read
     assert run_cli(capsys, "pm", "--q", "7", "--a", "1", "--m", "2", "--seed", "3")[0] == 2
     assert run_cli(capsys, "tuple", "--k", "3", "--work-cap", "1")[0] == 2
+    for fmt in ("json", "csv"):  # one output format, JSON
+        assert run_cli(capsys, "tuple", "--k", "3", "--format", fmt)[0] == 2
 
 
-# stdout digests under --format json and --format csv, one argv per
-# subcommand but verify: a report's fields are those of its dataclass plus
-# the inputs the subcommand echoes
+# stdout digests, one argv per subcommand but verify: a report's fields are
+# those of its dataclass plus the inputs the subcommand echoes
 _PINNED_OUTPUT = [
     (("pm", "--q", "7", "--a", "1", "--m", "3"),
-     "7b502cb3c50e88d4b79a63f8310c9dee42fc89030679e07182902994f76cd7db",
-     "b3a26249a72bc41a6fb1d49617a80002bf94cc75adffe06e04a17d958246b38f"),
+     "7b502cb3c50e88d4b79a63f8310c9dee42fc89030679e07182902994f76cd7db"),
     (("min-pm", "--q", "101", "--m", "2"),
-     "c7953a3da226ba8755805a4484a506b9b6f960acd076ab48faa4a6fadf366b78",
-     "592ecf7fa9824894378df267923246c5bb7005598c6051f8f119883cf93637a5"),
+     "c7953a3da226ba8755805a4484a506b9b6f960acd076ab48faa4a6fadf366b78"),
     (("census", "--q", "10", "--m", "2", "--X", "100"),
-     "083d672218271ce5d110820a2b58e274916c7648f261292fe246bbe57768fe43",
-     "1da44d1d3fd8861bd32c830e8316e2996890c22799a2ab321a772127efec4d8b"),
+     "083d672218271ce5d110820a2b58e274916c7648f261292fe246bbe57768fe43"),
     (("tuple", "--k", "4"),
-     "c450a11ff640a27b7bdd191b4d27a9565c52a62215e7f6259cf6ddafad41e5c0",
-     "75a073cf881f1a2438bf34ae15871325ee2389d46b21aa2aa44b4338e9ba8d7e"),
+     "c450a11ff640a27b7bdd191b4d27a9565c52a62215e7f6259cf6ddafad41e5c0"),
     (("budget-table", "--q-list", "101,210", "--m", "2"),
-     "48f5a65269bdfb50dd250baa0f2cb9d654f5a077dc0b2eaef1f7b930fdcd52bd",
-     "b0399e0005a12803e804f3180658f6139fa09ab3bd5bdaff7cf52618990dfea2"),
+     "48f5a65269bdfb50dd250baa0f2cb9d654f5a077dc0b2eaef1f7b930fdcd52bd"),
     (("weights", "--k", "3", "--support", "0.08", "--m", "2"),
-     "76dd31c1870a37ba384a3707a294ab6f016e2ab02c9fc44a6598dc6b77b0e6c3",
-     "9f7f84aec28192ab3dd1ba9d9507c651c81a7192a8d68a920cb63d14fd90c19c"),
+     "76dd31c1870a37ba384a3707a294ab6f016e2ab02c9fc44a6598dc6b77b0e6c3"),
     (("ssum", "--q", "1009", "--m", "2", "--tuple", "0,2,6", "--support", "0.05"),
-     "fc8082867ed9ddf3538644d99de35614c7241088a45790472a037dde08c9bd8f",
-     "d08092b8c981a0f5f3b08e52a3612e3de06444c54c8c2f32207818bf541b0463"),
+     "fc8082867ed9ddf3538644d99de35614c7241088a45790472a037dde08c9bd8f"),
     (("discrepancy", "--q", "30", "--R", "5"),
-     "c8671cb673cf837da8bbe5ac2cbf3a63e7e9187a9c33a62f007602c7ae47b716",
-     "a9cc5934fbe9b98ef5f98a49578dbc5c6dc5d08c1734520814ac467f85c8eeea"),
+     "c8671cb673cf837da8bbe5ac2cbf3a63e7e9187a9c33a62f007602c7ae47b716"),
     (("return-time", "--alpha", "golden", "--eps", "1/1000"),
-     "68d8167d564ac09b3b493c8f2dd227607a5be5898d13126ba88a8f852dec1440",
-     "b921ac054a3b893c3681e096c185cf515444a1f7d790a848a652eb883651eb47"),
+     "68d8167d564ac09b3b493c8f2dd227607a5be5898d13126ba88a8f852dec1440"),
     (("prop71", "--alpha", "sqrt:19:-4:1", "--eps-grid", "1/10,1/1000",
       "--depth", "10"),
-     "d9ff9251d4dc47bb260d8120614524073461ab0040e31349c3bea8b0422b931b",
-     "8b88ca41c983ce2aea0fe68af7ca91cc620343eb88e8346479ad078022f530b1"),
+     "d9ff9251d4dc47bb260d8120614524073461ab0040e31349c3bea8b0422b931b"),
     (("visits", "--system", "rotation", "--alpha", "golden", "--x0", "0",
       "--x", "1/3", "--eps", "1/100", "--m", "3", "--cap", "100000"),
-     "a67b0ddb131c4feae8d166a76eba3c2112cf70d250a33784f4fd4fc550d0e1d7",
-     "0220df44817592ed72f53bbbff93ec27064caa510c41484246b725581b13a2a8"),
+     "a67b0ddb131c4feae8d166a76eba3c2112cf70d250a33784f4fd4fc550d0e1d7"),
     (("early-visit", "--system", "shift", "--q", "7", "--x0", "0", "--eps", "1/2"),
-     "efffa22d40dbb6db8a135956ff492dec7b1cea30f367a18232c1f473433e4848",
-     "4e4d4d9426d536444c3c8a25f907d8d81f9162fc08cf57b8ba9dee65ff11807b"),
+     "efffa22d40dbb6db8a135956ff492dec7b1cea30f367a18232c1f473433e4848"),
     (("kac", "--system", "rotation", "--alpha", "golden", "--x0", "0",
       "--eps", "1/20", "--samples", "200", "--seed", "7"),
-     "d7aacb35f3e78a4e60aa0235a4267b2391df56244aa2be80cb3f82401146494d",
-     "d5f8df1bb65cc9b94e5eca7decd02b043c22a676a46a7082c08dc310d6ef4b41"),
+     "d7aacb35f3e78a4e60aa0235a4267b2391df56244aa2be80cb3f82401146494d"),
 ]
 
 
-@pytest.mark.parametrize("argv,json_digest,csv_digest", _PINNED_OUTPUT,
-                         ids=[argv[0] for argv, _, _ in _PINNED_OUTPUT])
-def test_pinned_output(capsys, argv, json_digest, csv_digest):
+@pytest.mark.parametrize("argv,digest", _PINNED_OUTPUT,
+                         ids=[argv[0] for argv, _ in _PINNED_OUTPUT])
+def test_pinned_output(capsys, argv, digest):
     import hashlib
 
-    for fmt, digest in (("json", json_digest), ("csv", csv_digest)):
-        code, out, err = run_cli(capsys, *argv, "--format", fmt)
-        assert code == 0 and err == ""
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_verify_csv_columns(tmp_path, capsys):
-    # elapsed varies from run to run, so the columns are checked, not the
-    # bytes; values are written unquoted, and title and details hold commas
+def test_verify_json_record(tmp_path, capsys):
+    # elapsed varies from run to run, so the fields are checked, not the bytes
     from dataclasses import fields
 
     from primevisit.acceptance import CriterionResult
 
-    path = tmp_path / "verify.csv"
-    assert main(["verify", "--only", "c08", "--format", "csv",
-                 "--output", str(path)]) == 0
-    header, row = path.read_text().splitlines()
-    assert header.split(",") == sorted(f.name for f in fields(CriterionResult))
-    assert row.startswith("10,c08,k(m=2, theta=1/2) = 2981, ")
-    assert row.endswith(",True,(k, rho) selection rule")
-    elapsed = row[: -len(",True,(k, rho) selection rule")].rsplit(",", 1)[1]
-    assert 0 <= float(elapsed) < 10
+    path = tmp_path / "verify.json"
+    assert main(["verify", "--only", "c08", "--output", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert doc["command"] == "verify" and doc["passed"] is True
+    assert doc["schema_version"] == 1 and doc["tool_version"] == cli.__version__
+    (row,) = doc["rows"]
+    assert set(row) == {f.name for f in fields(CriterionResult)}
+    assert row["cid"] == "c08" and row["passed"] is True
+    # commas and all, the strings stay whole
+    assert row["title"] == "(k, rho) selection rule"
+    assert row["details"].startswith("k(m=2, theta=1/2) = 2981, ")
+    assert 0 <= row["elapsed"] < 10
 
 
 def test_ssum_sieves_only_the_windows_it_reads(capsys):

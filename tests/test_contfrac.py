@@ -175,6 +175,27 @@ def test_return_time_cap_depth_matches_walk(monkeypatch):
             walk(GOLDEN, Fraction(1, _fibonacci(130)))
 
 
+@pytest.mark.parametrize("spec,eps,distinct", [
+    (Quotients((0,) + (1,) * 3000), Fraction(1, 10**20), 95),
+    (Quotients((0,) + (1,) * 3000), Fraction(1, 10**60), 287),
+    (Decimal("0.6180339887498948482045868343656381177203091798057628621354486227"),
+     Fraction(1, 10**30), 143),
+], ids=["cf-1e-20", "cf-1e-60", "dec-1e-30"])
+def test_walk_tests_each_convergent_once(monkeypatch, spec, eps, distinct):
+    # the walk expands to depth 32, 64, ... and used to restart at q_0 after
+    # each doubling: 189, 763 and 364 exact distances for these three
+    tested, dist_below = [], contfrac._dist_below
+
+    def counting(alpha, n, eps):
+        tested.append(n)
+        return dist_below(alpha, n, eps)
+
+    monkeypatch.setattr(contfrac, "_dist_below", counting)
+    tau = _walk(spec, eps).tau
+    assert len(tested) == len(set(tested)) == distinct
+    assert tested[-1] == tau
+
+
 def test_return_time_epsilon_validation():
     with pytest.raises(UsageError):
         return_time(GOLDEN, Fraction(1, 2))

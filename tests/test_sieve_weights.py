@@ -1,7 +1,7 @@
 import dataclasses
 import json
 from fractions import Fraction
-from math import exp, floor, fsum, gcd, log
+from math import exp, floor, fsum, gcd, log, prod
 
 import numpy as np
 import pytest
@@ -133,11 +133,17 @@ def test_tensor_support_validation():
     assert main(argv + ["--support", "0.125", "--eps-k", "0.3"]) == 2
 
 
+def tensor_value(F, t):
+    """F(t) = prod_i f_i(t_i) of a tensor cutoff, at a point of [0, inf)^k."""
+    assert len(t) == F.k and all(v >= 0 for v in t)
+    return prod(f(v) for f, v in zip(F.fs, t))
+
+
 def test_cutoff_tensor_values():
     F = TensorCutoff.ramp(2, 0.125)
-    assert F.value((0.0, 0.0)) == 1.0
-    assert F.value((0.2, 0.0)) == 0.0  # outside support
-    assert F.value((0.0625, 0.0625)) == pytest.approx(0.25)
+    assert tensor_value(F, (0.0, 0.0)) == 1.0
+    assert tensor_value(F, (0.2, 0.0)) == 0.0  # outside support
+    assert tensor_value(F, (0.0625, 0.0625)) == pytest.approx(0.25)
 
 
 def test_singular_tensor_closed_forms():
