@@ -8,7 +8,6 @@ The early-visit search runs that construction end to end and emits a
 certificate that re-verifies from scratch.
 """
 
-import json
 from fractions import Fraction
 
 from primevisit import (
@@ -24,6 +23,7 @@ from primevisit import (
     prime_visit_times,
     verify_certificate,
 )
+from primevisit.cli import main
 from primevisit.exactreal import QuadExt
 
 print("== right shift on Z/q: progressions as dynamics ==")
@@ -66,5 +66,7 @@ print(f"certificate: q = {cert.q_return}, a* = {cert.a_star}, primes {cert.prime
 ok, _ = verify_certificate(mob, cert, x0)
 print(f"re-verified: {ok}")
 print()
-print("certificate document (self-contained JSON):")
-print(json.dumps(json.loads(cert.to_json()), indent=2, sort_keys=True)[:400] + " ...")
+print("the same search through the CLI, whose record holds the certificate:")
+print("primevisit early-visit --system mobius --g 1,3/10,0,1 --x0 0,1 --eps 0.2")
+main(["early-visit", "--system", "mobius", "--g", "1,3/10,0,1", "--x0", "0,1",
+      "--eps", "0.2"])

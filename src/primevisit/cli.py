@@ -251,7 +251,7 @@ def _cmd_early_visit(args):
     cert = early_visit_search(system, x0, args.eps, args.m, h=args.h, cap=args.cap)
     ok, detail = verify_certificate(system, cert, x0)
     _emit(args, {
-        "certificate": json.loads(cert.to_json()),
+        "certificate": vars(cert),
         "reverified": ok, "problems": detail["problems"],
     })
 

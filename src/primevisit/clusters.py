@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NonCoprimeResidue, CapExceeded, KTooLarge, UsageError
+from .errors import (BudgetExceeded, CapExceeded, KTooLarge, NonCoprimeResidue,
+                     UsageError)
 from .primes import (  # noqa: F401  (is_prime stays importable from here)
     is_prime,
     iter_prime_segments,
@@ -29,6 +30,10 @@ CAP_FACTOR = 300
 # Proven budget constant for pair clusters (m = 2): min_a p_2(q, a) <= 270 q
 # for all large q.
 PAIR_BUDGET = 270
+
+# Largest modulus whose residue classes min_pm and cluster_census count one
+# by one: a count is one byte for m < 256, so this is 200 MB.
+MAX_CLASSES = 2 * 10**8
 
 # Exhaustive narrowest-tuple search is exact up to this k; greedy beyond.
 EXACT_TUPLE_K = 12
@@ -108,7 +113,30 @@ def default_cap(q: int, m: int) -> int:
 def cluster_budget(m: int, C: float) -> float:
     """Budget of shape C * m * exp(4m); the constant C is configuration, not
     an asserted value (only m = 2 has the proven constant 270)."""
+    if not C > 0:
+        raise UsageError(f"need C > 0, got {C}")
     return C * m * exp(4 * m)
+
+
+def budget_h(m: int, h: Optional[float]) -> float:
+    """The cluster budget h of a search for m primes: h itself when given,
+    the proven PAIR_BUDGET for m = 2; any other m needs an explicit h."""
+    if h is None and m != 2:
+        raise UsageError("h budget required for m != 2 (shape C * m * exp(4m))")
+    h = float(PAIR_BUDGET) if h is None else h
+    if not h > 0:
+        raise UsageError(f"need h > 0, got {h}")
+    return h
+
+
+def _class_counts(q: int, m: int) -> np.ndarray:
+    """A zero count per residue class mod q, in the smallest dtype that
+    holds m: callers stop counting a class at m."""
+    if q > MAX_CLASSES:
+        size = q if q < 2**64 else f"a {q.bit_length()}-bit number"
+        raise BudgetExceeded(f"q = {size} has more residue classes than the "
+                             f"{MAX_CLASSES} that can be counted")
+    return np.zeros(q, dtype=np.min_scalar_type(m))
 
 
 def pm(q: int, a: int, m: int, cap: Optional[int] = None) -> PrimeClusterResult:
@@ -153,7 +181,7 @@ def min_pm(
         raise UsageError(f"m must be >= 1, got {m}")
     if cap is None:
         cap = default_cap(q, m)
-    counts = np.zeros(q, dtype=np.int32)  # primes so far per class, all < m
+    counts = _class_counts(q, m)  # primes so far per class, all < m
     for seg in iter_prime_segments(2, cap + 1):
         ps = seg.primes()
         ps = ps[q % ps != 0]
@@ -172,7 +200,7 @@ def min_pm(
             primes = primes_in_ap(q, a_star, p_m)
             assert len(primes) == m, f"internal: class {a_star} holds {primes}"
             return a_star, PrimeClusterResult(Progression(q, a_star), tuple(primes))
-        counts[classes] += sizes
+        counts[classes] += sizes.astype(counts.dtype)
     raise CapExceeded(f"no residue class mod {q} collected {m} primes up to {cap}")
 
 
@@ -180,12 +208,13 @@ def cluster_census(q: int, m: int, X: int) -> int:
     """Number of reduced residues a mod q with p_m(q, a) <= X."""
     if q < 2 or m < 1 or X < q:
         raise UsageError(f"need q >= 2, m >= 1, X >= q; got q={q}, m={m}, X={X}")
-    counts = np.zeros(q, dtype=np.int64)
+    counts = _class_counts(q, m)  # primes per class, stopped at m
     for seg in iter_prime_segments(2, X + 1):
-        residues = seg.primes() % q
-        counts += np.bincount(residues, minlength=q)
-    reduced = np.gcd(np.arange(q, dtype=np.int64), q) == 1
-    return int(np.count_nonzero(counts[reduced] >= m))
+        ps = seg.primes()
+        # a prime dividing q is the one prime of a class that is not reduced
+        classes, sizes = np.unique(ps[q % ps != 0] % q, return_counts=True)
+        counts[classes] = np.minimum(counts[classes] + sizes, m)
+    return int(np.count_nonzero(counts >= m))
 
 
 def is_admissible(offsets: Sequence[int]) -> AdmissibilityCheck:
@@ -304,26 +333,13 @@ def theorem11_report(
 ) -> list[Theorem11Row]:
     """Per-modulus table q, a*, p_m(q, a*), p_m/q, pass/fail vs h_budget * q.
 
-    For m = 2 the default budget is the proven constant 270; for other m the
-    caller supplies the budget (shape C * m * exp(4m) with C configurable).
+    The budget is budget_h(m, h_budget): the proven constant 270 for m = 2
+    by default; other m need one (shape C * m * exp(4m) with C configurable).
     """
-    if h_budget is None:
-        if m == 2:
-            h_budget = float(PAIR_BUDGET)
-        else:
-            raise UsageError("h_budget required for m != 2 (shape C*m*exp(4m))")
+    h_budget = budget_h(m, h_budget)
     rows = []
     for q in q_list:
         a_star, res = min_pm(q, m, cap=cap)
-        ratio = res.p_m / q
-        rows.append(
-            Theorem11Row(
-                q=q,
-                a_star=a_star,
-                p_m=res.p_m,
-                ratio=ratio,
-                h_budget=h_budget,
-                passed=res.p_m <= h_budget * q,
-            )
-        )
+        rows.append(Theorem11Row(q=q, a_star=a_star, p_m=res.p_m, ratio=res.p_m / q,
+                                 h_budget=h_budget, passed=res.p_m <= h_budget * q))
     return rows

@@ -546,6 +546,8 @@ def check_prop71(
     A is unknown the lower bound is the almost-everywhere envelope
     eps^-1 (log eps^-1)^(-2(1+delta)) with test constant 1 (an envelope, not
     an asserted theorem constant)."""
+    if not delta > 0:
+        raise UsageError(f"need delta > 0, got {delta}")
     A = alpha.max_partial_quotient()
     rows = []
     for e in epsilon_grid:

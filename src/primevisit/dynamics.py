@@ -19,8 +19,7 @@ as (x, y, d) and a matrix over the common denominator of its entries
 the radii they were searched at as Fractions.
 """
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice
 from math import asinh, ceil, gcd, lcm, log10, sinh, sqrt
@@ -39,13 +38,9 @@ from .errors import (
     UsageError,
 )
 from .exactreal import QuadExt
-from .clusters import min_pm, default_cap
+from .clusters import budget_h, default_cap, min_pm
 from .contfrac import Decimal, Rational, RealNumberSpec, return_time
-from .primes import is_prime, iter_prime_segments, primes_in_ap, walk_ap
-
-# Default cluster budget h for pair searches (m = 2); other m need an
-# explicit budget of shape C * m * exp(4m).
-DEFAULT_PAIR_H = 270
+from .primes import is_prime, iter_prime_segments, walk_ap
 
 # Quotient distances below this are exact (minimizing translate is in the
 # finite word set); larger values are flagged approximate.
@@ -403,15 +398,10 @@ class Shift(System):
 
     def prime_visits(self, x0, x, eps: Fraction, m: int, cap: int) -> list[int]:
         """Visits to a point are the primes in one progression mod q: its
-        first m primes, walked, for a reduced class; a class that is not
-        reduced holds at most one prime."""
+        first m primes, walked."""
         if eps > 1:
             return super().prime_visits(x0, x, eps, m, cap)
-        r = (x - x0) % self.q
-        if gcd(r, self.q) == 1:
-            found = list(islice(walk_ap(self.q, r, cap), m))
-        else:
-            found = primes_in_ap(self.q, r, cap)[:m]
+        found = list(islice(walk_ap(self.q, (x - x0) % self.q, cap), m))
         if len(found) < m:
             raise CapExceeded(f"only {len(found)} prime visits up to {cap}")
         return found
@@ -548,8 +538,8 @@ class Rotation(System):
 
 def mobius_ball_measure(eps: float) -> float:
     """Normalized area of an embedded eps-ball: 4 pi sinh^2(eps/2) over the
-    covolume pi/3, i.e. 12 sinh^2(eps/2)."""
-    return min(12.0 * sinh(eps / 2.0) ** 2, 1.0)
+    covolume pi/3, i.e. 12 sinh^2(eps/2), which passes 1 before eps = 1."""
+    return min(12.0 * sinh(min(eps, 1.0) / 2.0) ** 2, 1.0)
 
 
 class Mobius(System):
@@ -651,15 +641,8 @@ class EarlyVisitCertificate:
     degenerate: bool = False  # ball was the whole space
     tool_version: str = _pkg_version
     schema_version: int = 2
-
-    def to_json(self) -> str:
-        d = asdict(self)
-        d["primes"] = list(self.primes)
-        d["distances"] = list(self.distances)
-        for key in ("epsilon", "return_threshold"):
-            d[key] = f"{d[key].numerator}/{d[key].denominator}"
-        d["tolerances"] = {"injectivity_guard": INJECTIVITY_GUARD}
-        return json.dumps(d, sort_keys=True)
+    tolerances: dict = field(
+        default_factory=lambda: {"injectivity_guard": INJECTIVITY_GUARD})
 
 
 def early_visit_search(
@@ -673,23 +656,16 @@ def early_visit_search(
     """Find a point x* whose eps-ball the orbit visits at m early primes.
 
     Recipe: q = first return of x0 to within eps/2h; a* = argmin of p_m(q, a)
-    over reduced residues; x* = T^{a*} x0.  Every certificate distance is
-    verified directly with certified arithmetic.  If p_m(q, a*) > q h or a
-    distance check fails, h is doubled and the search re-runs once; a second
-    failure raises SearchFailed (success is only guaranteed for small eps).
+    over reduced residues; x* = T^{a*} x0.  The budget h is
+    clusters.budget_h(m, h).  The certificate must pass the per-prime checks
+    of verify_certificate.  If p_m(q, a*) > q h or a check fails, h is
+    doubled and the search re-runs once; a second failure raises
+    SearchFailed (success is only guaranteed for small eps).
     """
     eps = _to_eps_fraction(epsilon)
     if m < 1:
         raise UsageError(f"need m >= 1, got {m}")
-    if h is None:
-        if m == 2:
-            h = float(DEFAULT_PAIR_H)
-        else:
-            raise UsageError(
-                "h budget required for m != 2 (shape C * m * exp(4m))"
-            )
-    if not h > 0:
-        raise UsageError(f"need h > 0, got {h}")
+    h = budget_h(m, h)
 
     last_fail = None
     for h_try in (h, 2 * h):
@@ -709,19 +685,22 @@ def _early_visit_once(
     mu_quarter = system.ball_measure(x0, float(eps / (4 * h_frac)))
 
     # degenerate: the eps-ball is (essentially) the whole space, so q = 1,
-    # x* = x0 and any m primes work; their distances are still verified
+    # x* = x0 and any m primes work; they are still checked
     degenerate = system.ball_measure(x0, float(eps)) >= 1.0
     if degenerate:
         threshold, q = eps, 1
     else:
         threshold = eps / (2 * h_frac)
-        q = first_return(system, x0, threshold, cap=cap)
+        try:
+            q = first_return(system, x0, threshold, cap=cap)
+        except UsageError as exc:
+            raise UsageError(f"return radius eps/2h at h = {h:g}: {exc}") from None
 
+    budget = h_frac * q  # exact: h * q overflows a float for huge q
     if q == 1:
-        a_star, primes = 0, primes_in_ap(1, 0, max(100, 20 * m) - 1)[:m]
-        p_m_val = primes[-1]
+        a_star, primes = 0, list(islice(walk_ap(1, 0, max(100, 20 * m) - 1), m))
     else:
-        pm_cap = max(default_cap(q, m), int(ceil(h * q)) + q)
+        pm_cap = max(default_cap(q, m), ceil(budget) + q)
         try:
             a_star, res = min_pm(q, m, cap=pm_cap)
         except CapExceeded as exc:
@@ -731,28 +710,16 @@ def _early_visit_once(
                 f"min_pm found no {m}-cluster below {pm_cap} for q={q}"
             ) from exc
         primes = list(res.primes)
-        p_m_val = res.p_m
 
-    if not degenerate and p_m_val > h * q:
+    if not degenerate and primes[-1] > budget:
         raise SearchFailed(
-            f"p_m(q={q}, a*={a_star}) = {p_m_val} exceeds budget h*q = {h * q:g}"
+            f"p_m(q={q}, a*={a_star}) = {primes[-1]} exceeds budget h*q = "
+            f"{float(budget):g}"
         )
 
     x_star = x0 if degenerate else system.iterate(x0, a_star)
-    inside = system.ball(x_star, eps)
-    dists = []
-    for p in primes:
-        xp = system.iterate(x0, p)
-        if not inside(xp):
-            raise SearchFailed(
-                f"degenerate ball but d(T^{p} x0, x0) >= eps (boundary tie)"
-                if degenerate else
-                f"verification failed: d(T^{p} x0, x*) = "
-                f"{system.dist(xp, x_star):.6g} >= eps = {float(eps):.6g}"
-            )
-        dists.append(system.dist(xp, x_star))
-
-    return EarlyVisitCertificate(
+    points = [system.iterate(x0, p) for p in primes]
+    cert = EarlyVisitCertificate(
         system=system.description,
         x0_repr=system.point_repr(x0),
         epsilon=eps,
@@ -762,20 +729,45 @@ def _early_visit_once(
         a_star=a_star,
         x_star_repr=system.point_repr(x_star),
         primes=tuple(primes),
-        distances=tuple(dists),
+        distances=tuple(system.dist(xp, x_star) for xp in points),
         q_bound_ok=degenerate or (mu_quarter > 0 and q <= 1.0 / mu_quarter),
         mu_ball_quarter=mu_quarter,
         return_threshold=threshold,
         degenerate=degenerate,
     )
+    problems = _prime_problems(system, cert, x_star, points)
+    if problems:
+        raise SearchFailed("verification failed: " + "; ".join(problems))
+    return cert
+
+
+def _prime_problems(
+    system: System, cert: EarlyVisitCertificate, x_star, points
+) -> list[str]:
+    """The per-prime checks of a certificate, given x* and the orbit points
+    T^p x0 for p in cert.primes: p is prime, p = a* (mod q), p <= h q unless
+    the ball is degenerate, and T^p x0 lies in B(x*; eps)."""
+    inside = system.ball(x_star, cert.epsilon)
+    budget = Fraction(cert.h) * cert.q_return
+    problems = []
+    for p, xp in zip(cert.primes, points):
+        if not is_prime(p):
+            problems.append(f"{p} is not prime")
+        if p % cert.q_return != cert.a_star % cert.q_return:
+            problems.append(f"{p} != a* mod q")
+        if not cert.degenerate and p > budget:
+            problems.append(f"{p} exceeds q*h")
+        if not inside(xp):
+            problems.append(f"d(T^{p} x0, x*) >= eps")
+    return problems
 
 
 def verify_certificate(
     system: System, cert: EarlyVisitCertificate, x0
 ) -> tuple[bool, dict]:
     """Recompute everything in the certificate from scratch, at the exact
-    radii it records."""
-    eps = cert.epsilon
+    radii it records.  These are the only certificate checks: the search
+    returns a certificate only once its primes pass them."""
     problems = []
     if not cert.degenerate:
         thr = cert.return_threshold
@@ -786,16 +778,9 @@ def verify_certificate(
             n = system.first_return(x0, thr, cap=cert.q_return)
             if n != cert.q_return:
                 problems.append(f"return time not minimal: n = {n} also returns")
-    inside = system.ball(system.iterate(x0, cert.a_star), eps)
-    for p in cert.primes:
-        if not is_prime(p):
-            problems.append(f"{p} is not prime")
-        if cert.q_return > 1 and p % cert.q_return != cert.a_star % cert.q_return:
-            problems.append(f"{p} != a* mod q")
-        if not cert.degenerate and p > cert.h * cert.q_return:
-            problems.append(f"{p} exceeds q*h")
-        if not inside(system.iterate(x0, p)):
-            problems.append(f"d(T^{p} x0, x*) >= eps")
+    x_star = system.iterate(x0, cert.a_star)
+    points = [system.iterate(x0, p) for p in cert.primes]
+    problems += _prime_problems(system, cert, x_star, points)
     return (not problems), {"problems": problems}
 
 

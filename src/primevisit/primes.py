@@ -50,19 +50,19 @@ def _base_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def sieve_range(lo: int, hi: int, segment_cap: int = SEGMENT_CAP) -> PrimeRange:
+def sieve_range(lo: int, hi: int) -> PrimeRange:
     """Exact primality flags for every n in [lo, hi).
 
-    Raises RangeTooLarge when hi - lo exceeds the segment cap; the caller is
+    Raises RangeTooLarge when hi - lo exceeds SEGMENT_CAP; the caller is
     expected to iterate segments (see iter_prime_segments).
     """
     if not (2 <= lo < hi):
         raise UsageError(f"need 2 <= lo < hi, got lo={lo}, hi={hi}")
     if hi > _MAX_N:
         raise UsageError(f"hi={hi} beyond supported range 2^63")
-    if hi - lo > segment_cap:
+    if hi - lo > SEGMENT_CAP:
         raise RangeTooLarge(
-            f"segment [{lo}, {hi}) has {hi - lo} flags > cap {segment_cap}"
+            f"segment [{lo}, {hi}) has {hi - lo} flags > cap {SEGMENT_CAP}"
         )
     flags = np.ones(hi - lo, dtype=bool)
     for p in _base_primes(isqrt(hi - 1)):
@@ -73,23 +73,23 @@ def sieve_range(lo: int, hi: int, segment_cap: int = SEGMENT_CAP) -> PrimeRange:
     return PrimeRange(lo, hi, flags)
 
 
-def iter_prime_segments(lo: int, hi: int, segment_cap: int = SEGMENT_CAP):
+def iter_prime_segments(lo: int, hi: int):
     """Yield PrimeRange segments tiling [lo, hi) contiguously, in order.
 
     Windows start small and double: the first has min(FIRST_WINDOW,
-    segment_cap) flags, each later one twice the previous, up to segment_cap.
+    SEGMENT_CAP) flags, each later one twice the previous, up to SEGMENT_CAP.
     A consumer that stops early (the m-th prime of a class, the first prime
     visits of an orbit) then sieves about twice what it reads, not a whole
-    segment_cap; a consumer of the full range pays only for a few extra
+    SEGMENT_CAP; a consumer of the full range pays only for a few extra
     small windows.
     """
     lo = max(lo, 2)
-    width = min(FIRST_WINDOW, segment_cap)
+    width = min(FIRST_WINDOW, SEGMENT_CAP)
     while lo < hi:
         top = min(lo + width, hi)
-        yield sieve_range(lo, top, segment_cap)
+        yield sieve_range(lo, top)
         lo = top
-        width = min(2 * width, segment_cap)
+        width = min(2 * width, SEGMENT_CAP)
 
 
 def is_prime(n: int) -> bool:
@@ -123,47 +123,41 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _ap_terms(q: int, a: int, limit: int) -> range:
+    """The terms a, a + q, a + 2q, ... <= limit (from a + q when a < 2) that
+    may be prime: only the first when gcd(a, q) > 1, since every later term
+    is a multiple of that gcd."""
+    first = a if a >= 2 else a + q
+    return range(first, (limit if gcd(a, q) == 1 else min(limit, first)) + 1, q)
+
+
 def walk_ap(q: int, a: int, limit: int):
     """Yield the primes p <= limit with p = a (mod q), in increasing order,
-    by testing a, a + q, a + 2q, ... (from a + q when a < 2)."""
-    n = a if a >= 2 else a + q
-    while n <= limit:
-        if is_prime(n):
-            yield n
-        n += q
+    by testing the terms of the progression in turn."""
+    return (n for n in _ap_terms(q, a, limit) if is_prime(n))
 
 
-# Below this many progression steps, walking and testing beats sieving.
+# Below this many progression terms, walking and testing beats sieving.
 _WALK_STEPS = 4096
 
 
 def primes_in_ap(q: int, a: int, limit: int) -> list[int]:
     """All primes p <= limit with p = a (mod q), strictly increasing.
 
-    Works for any residue, reduced or not (non-reduced classes contain at
-    most one prime).  q = 1 returns all primes up to the limit.
+    Works for any residue, reduced or not (a class that is not reduced has
+    one term to walk).  q = 1 returns all primes up to the limit.
     """
     if q < 1:
         raise UsageError(f"modulus must be >= 1, got {q}")
     if not 0 <= a < q:
         raise UsageError(f"residue {a} outside [0, {q})")
-    if limit < 2:
-        return []
-
-    g = gcd(a, q) if a else q
-    if q > 1 and g > 1:
-        # Only candidate is p = g itself (prime and = a mod q means g | p).
-        return [g] if is_prime(g) and g % q == a and g <= limit else []
-
-    if limit // q + 1 <= _WALK_STEPS:
+    if not _ap_terms(q, a, limit)[_WALK_STEPS:]:  # at most _WALK_STEPS terms
         return list(walk_ap(q, a, limit))
 
     out = []
     for seg in iter_prime_segments(2, limit + 1):
         ps = seg.primes()
-        if q > 1:
-            ps = ps[ps % q == a]
-        out.extend(int(p) for p in ps)
+        out.extend(int(p) for p in ps[ps % q == a])
     return out
 
 

@@ -222,6 +222,62 @@ def test_out_of_range_number_is_a_usage_error(capsys, argv):
     assert "epsilon" not in err
 
 
+_BIG_Q = "10000000019"
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["early-visit", *_ROTATION, "--eps", "1/10", "--h", "1e300"], 3),
+    (["early-visit", *_ROTATION, "--eps", "1/10", "--h", "1e-300"], 2),
+    (["min-pm", "--q", _BIG_Q, "--m", "2"], 3),
+    (["budget-table", "--q-list", _BIG_Q], 3),
+    (["census", "--q", _BIG_Q, "--m", "2", "--X", _BIG_Q], 3),
+    (["budget-table", "--q-list", "101,210", "--C", "-1"], 2),
+    (["budget-table", "--q-list", "101,210", "--C", "0"], 2),
+    (["budget-table", "--q-list", "101,210", "--h-budget", "0"], 2),
+    (["budget-table", "--q-list", "101,210", "--h-budget", "-1"], 2),
+    (["prop71", "--alpha", "golden", "--delta", "-1"], 2),
+    (["prop71", "--alpha", "golden", "--delta", "0"], 2),
+], ids=["h-huge", "h-tiny", "min-pm-huge-q", "budget-table-huge-q", "census-huge-q",
+        "C-negative", "C-zero", "h-budget-zero", "h-budget-negative",
+        "delta-negative", "delta-zero"])
+def test_edge_argvs_end_in_one_error_line(capsys, monkeypatch, argv, want):
+    # each of these raised OverflowError or numpy's MemoryError, or exited 0
+    # with a nonsense budget or delta; now each is refused up front
+    import time
+
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("a CLI command started a subprocess")
+
+    monkeypatch.setattr(subprocess, "Popen", no_subprocess)
+    start = time.process_time()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.process_time() - start < 0.5
+    assert code == want and out == ""
+    assert err.count("\n") == 1
+    if "1e-300" in argv:
+        assert "eps/2h at h = 1e-300" in err
+
+
+def test_readme_examples_run_through_cli_digests(tmp_path, monkeypatch, capsys):
+    # the README's CLI examples, run in process by tools/cli_digests.py: one
+    # line per argv, and every example succeeds
+    import runpy
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    examples = [line for line in (root / "README.md").read_text().splitlines()
+                if line.startswith("primevisit ") and " verify" not in line]
+    argv_file = tmp_path / "examples.txt"
+    argv_file.write_text("\n".join(examples) + "\n")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool adds bench/
+    monkeypatch.setattr(sys, "argv", ["cli_digests.py", "--rounds", "0",
+                                      "--argv-file", str(argv_file)])
+    runpy.run_path(str(root / "tools" / "cli_digests.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14
+    assert all(line.split()[0] == "0" for line in lines)
+
+
 def test_console_script_installed():
     out = subprocess.run(
         [sys.executable, "-m", "primevisit.cli", "--version"],

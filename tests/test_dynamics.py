@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import asinh, sinh, sqrt
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from primevisit.errors import (
 )
 from primevisit.exactreal import QuadExt
 from primevisit.contfrac import Quadratic, Rational
+from primevisit.cli import main
 from primevisit.clusters import pm
 from primevisit.dynamics import (
     Mobius,
@@ -513,14 +515,19 @@ def test_integer_entry_mobius_orbit_is_exact():
     ]
 
 
-def test_certificate_serializes_and_tamper_fails():
-    import json
+def _cli_certificate(capsys, *argv):
+    """The certificate of the `early-visit` CLI record for argv."""
+    assert main(["early-visit", *argv]) == 0
+    return json.loads(capsys.readouterr().out)["certificate"]
 
-    sh = Shift(10)
-    cert = early_visit_search(sh, 0, 0.5, 2, 270)
-    doc = json.loads(cert.to_json())
+
+def test_certificate_serializes_and_tamper_fails(capsys):
+    doc = _cli_certificate(capsys, "--system", "shift", "--q", "10", "--x0", "0",
+                           "--eps", "0.5", "--h", "270")
     assert doc["tool_version"] and doc["schema_version"] == 2
     assert doc["primes"] == [3, 13]
+    sh = Shift(10)
+    cert = early_visit_search(sh, 0, 0.5, 2, 270)
     bad = dataclasses.replace(cert, primes=(3, 15))  # 15 is not prime
     ok, det = verify_certificate(sh, bad, 0)
     assert not ok and det["problems"]
@@ -529,14 +536,12 @@ def test_certificate_serializes_and_tamper_fails():
     assert not ok and det["problems"]
 
 
-def test_certificate_keeps_exact_radii():
-    import json
-
-    rot = Rotation(GOLDEN)
-    cert = early_visit_search(rot, 0, Fraction(1, 10), 2, 270)
-    doc = json.loads(cert.to_json())
+def test_certificate_keeps_exact_radii(capsys):
+    doc = _cli_certificate(capsys, "--system", "rotation", "--alpha", "golden",
+                           "--x0", "0", "--eps", "1/10", "--h", "270")
     assert doc["epsilon"] == "1/10" and Fraction(doc["epsilon"]) == Fraction(1, 10)
     assert Fraction(doc["return_threshold"]) == Fraction(1, 5400)
+    cert = early_visit_search(Rotation(GOLDEN), 0, Fraction(1, 10), 2, 270)
     assert cert.epsilon == Fraction(1, 10)
     for gone in ("x0_float", "x_star_float", "certified"):
         assert gone not in doc

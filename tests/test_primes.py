@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import sympy
 
+from primevisit import primes
 from primevisit.errors import RangeTooLarge, UsageError
 from primevisit.primes import (
     FIRST_WINDOW,
@@ -12,6 +13,7 @@ from primevisit.primes import (
     iter_prime_segments,
     primes_in_ap,
     sieve_range,
+    walk_ap,
 )
 
 
@@ -41,12 +43,15 @@ def test_sieve_rejects_lo_below_2():
         sieve_range(1, 2)
 
 
-def test_sieve_segment_cap():
+def test_sieve_segment_cap(monkeypatch):
     with pytest.raises(RangeTooLarge):
         sieve_range(2, 2 + (1 << 23))
+    whole = len(sieve_range(2, 10**5).primes())
     # caller iterates segments instead
-    total = sum(len(s.primes()) for s in iter_prime_segments(2, 10**5, 2**14))
-    assert total == len(sieve_range(2, 10**5).primes())
+    monkeypatch.setattr(primes, "SEGMENT_CAP", 2**14)
+    with pytest.raises(RangeTooLarge):
+        sieve_range(2, 2 + 2**14 + 1)
+    assert sum(len(s.primes()) for s in iter_prime_segments(2, 10**5)) == whole
 
 
 def test_is_prime_basics():
@@ -82,6 +87,9 @@ def test_primes_in_ap_examples():
     assert primes_in_ap(4, 1, 30) == [5, 13, 17, 29]
     assert primes_in_ap(2, 0, 100) == [2]
     assert primes_in_ap(6, 4, 50) == []
+    # a class that is not reduced holds its first term, if that is prime
+    assert list(walk_ap(8, 2, 50)) == [2] and primes_in_ap(8, 2, 10**6) == [2]
+    assert list(walk_ap(8, 2, 1)) == [] and primes_in_ap(9, 0, 10**6) == []
 
 
 def test_primes_in_ap_vs_sieve_filter():
@@ -120,13 +128,15 @@ def test_factorize_and_tau():
         (0, 2**16 + 3, 2**16),
     ],
 )
-def test_iter_prime_segments_doubling_tiles(lo, hi, cap):
-    segs = list(iter_prime_segments(lo, hi, cap))
+def test_iter_prime_segments_doubling_tiles(monkeypatch, lo, hi, cap):
+    monkeypatch.setattr(primes, "SEGMENT_CAP", cap)
+    segs = list(iter_prime_segments(lo, hi))
+    monkeypatch.undo()
     assert segs[0].lo == max(lo, 2) and segs[-1].hi == hi
     width = min(FIRST_WINDOW, cap)
     for seg, nxt in zip(segs, segs[1:] + [None]):
         assert seg.hi - seg.lo == (width if nxt is not None else min(width, hi - seg.lo))
         assert nxt is None or nxt.lo == seg.hi
         width = min(2 * width, cap)
-    whole = sieve_range(max(lo, 2), hi, hi - max(lo, 2))
+    whole = sieve_range(max(lo, 2), hi)
     assert np.array_equal(np.concatenate([s.bits for s in segs]), whole.bits)
